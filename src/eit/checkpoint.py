@@ -3,7 +3,7 @@
 Layout: 8-byte magic "EITCKPT1", an 8-byte little-endian header length,
 a JSON header, then the raw little-endian tensor payloads in header order.
 The header records the model config and, per tensor, shape / dtype / byte
-offset into the payload region.
+offset into the payload region. Every tensor is float64, tagged "f64".
 """
 
 from __future__ import annotations
@@ -18,15 +18,7 @@ from .model import ModelConfig, Tensor, check_param_shapes, config_from_dict, \
     config_to_dict
 
 MAGIC = b"EITCKPT1"
-_DTYPES = {"f32": "<f4", "f64": "<f8"}
-
-
-def _dtype_tag(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "f32"
-    if arr.dtype == np.float64:
-        return "f64"
-    raise LoadError(f"unsupported dtype {arr.dtype}")
+_F64 = np.dtype("<f8")
 
 
 def save(path, params: dict[str, Tensor], config: ModelConfig):
@@ -34,9 +26,8 @@ def save(path, params: dict[str, Tensor], config: ModelConfig):
     offset = 0
     payloads = []
     for name, t in params.items():
-        raw = np.ascontiguousarray(t.data, dtype=f"<{t.data.dtype.kind}{t.data.dtype.itemsize}")
-        tensors[name] = {"shape": list(t.shape), "dtype": _dtype_tag(t.data),
-                         "offset": offset}
+        raw = np.ascontiguousarray(t.data, dtype=_F64)
+        tensors[name] = {"shape": list(t.shape), "dtype": "f64", "offset": offset}
         payloads.append(raw.tobytes())
         offset += len(payloads[-1])
     header = json.dumps({"config": config_to_dict(config),
@@ -66,16 +57,18 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
     payload = blob[16 + hlen:]
     params = {}
     for name, meta in header["tensors"].items():
-        dt = np.dtype(_DTYPES[meta["dtype"]])
+        dtype = meta.get("dtype")
+        if dtype != "f64":
+            raise LoadError(f"{path}: tensor {name} has dtype {dtype!r}, "
+                            f"only 'f64' is supported")
         shape = tuple(meta["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = meta["offset"]
-        end = start + count * dt.itemsize
+        end = start + count * _F64.itemsize
         if end > len(payload):
             raise LoadError(f"{path}: tensor {name} payload out of range")
-        data = np.frombuffer(payload[start:end], dtype=dt).reshape(shape)
-        params[name] = Tensor(data.astype(data.dtype.newbyteorder("=")),
-                              requires_grad=True)
+        data = np.frombuffer(payload[start:end], dtype=_F64).reshape(shape)
+        params[name] = Tensor(data.astype(np.float64), requires_grad=True)
     try:
         check_param_shapes(params, config)
     except Exception as e:

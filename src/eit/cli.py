@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checkpoint, costs, probes
 from .data import generate_synthetic, load_dataset, save_dataset
-from .errors import DivergenceError, EitError
+from .errors import ConfigError, DivergenceError, EitError
 from .gradcheck import gradcheck, worst_offender
 from .model import (config_to_dict, forward, init_params, load_config,
                     schedule_for)
@@ -129,16 +129,18 @@ def cmd_train(args) -> int:
         print(f"error: data directory not found: {args.data}", file=sys.stderr)
         return 1
     dataset = load_dataset(args.data)
-    train(config, tconfig, dataset, out_dir=args.out)
     _write_manifest(args.out, "train",
                     {"config": config_to_dict(config),
                      "train_config": dataclasses.asdict(tconfig),
                      "data": args.data, "seed": tconfig.seed})
+    train(config, tconfig, dataset, out_dir=args.out)
     print(f"wrote {os.path.join(args.out, 'model.ckpt')} and metrics.csv")
     return 0
 
 
 def cmd_probe(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
     params, config = checkpoint.load(args.checkpoint)
     if not os.path.isdir(args.data):
         print(f"error: data directory not found: {args.data}", file=sys.stderr)

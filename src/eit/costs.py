@@ -2,13 +2,16 @@
 
 Parameters are enumerated from the exact tensor shapes the model
 instantiates, so the analytic count always equals the real one. FLOPs
-count multiply-accumulates of the conv/matmul kernels; the report carries
-both the raw MAC total and a FLOP total at 2 FLOPs per MAC (elementwise
-work like norms, softmax and pooling comparisons is excluded).
+count multiply-accumulates of the conv/matmul kernels. The conv branch's
+convs are stride-1 and same-padded, so it does one MAC per weight element
+at every patch token and its MACs come from the same shapes. The report
+carries both the raw MAC total and a FLOP total at 2 FLOPs per MAC
+(elementwise work like norms, softmax and pooling comparisons is excluded).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import ModelConfig, param_shapes, schedule_for
@@ -67,10 +70,6 @@ def depthwise_branch_macs(patch_tokens: int, width: int, kernel: int) -> int:
     return kernel * kernel * width * patch_tokens
 
 
-def standard_conv_macs(patch_tokens: int, c_in: int, c_out: int, kernel: int) -> int:
-    return kernel * kernel * c_in * c_out * patch_tokens
-
-
 def mlp_macs(tokens: int, width: int, ratio: int) -> int:
     return 2 * ratio * tokens * width * width
 
@@ -78,10 +77,7 @@ def mlp_macs(tokens: int, width: int, ratio: int) -> int:
 def count_params(config: ModelConfig) -> CostReport:
     report = CostReport()
     for _, shape, component, _ in param_shapes(config):
-        size = 1
-        for n in shape:
-            size *= n
-        report.at(component).params += size
+        report.at(component).params += math.prod(shape)
     return report
 
 
@@ -89,31 +85,17 @@ def count_flops(config: ModelConfig) -> CostReport:
     report = CostReport()
     c = config.channels
     t = config.token_count()
-    patches = t - 1
     h, w, _ = config.image
     hc, wc = config.patch_conv_spec().out_size(h, w)
     k = config.eitp.kernel
-    kt = config.eitt.kernel
-    sched = schedule_for(config)
+    branch_weights = sum(math.prod(shape)
+                         for _, shape, component, kind in param_shapes(config)
+                         if component == "conv_branch" and kind in ("conv", "proj"))
     report.at("patch_embed").macs = hc * wc * c * 3 * k * k
-    if config.pos_embed == "trainable":
-        report.at("embeddings").macs = 0
-    for i in range(config.layers):
-        ct, cm = sched.conv[i], sched.attn[i]
-        report.at("attention").macs += mha_macs(t, cm)
-        style = config.eitt.branch_style
-        if config.split_policy == "parallel":
-            branch = standard_conv_macs(patches, c, c, kt)
-        elif ct == 0 or style == "none":
-            branch = 0
-        elif style == "conv3":
-            branch = 3 * depthwise_branch_macs(patches, ct, kt)
-        elif style == "gelu_conv_fc":
-            branch = depthwise_branch_macs(patches, ct, kt) + patches * ct * ct
-        else:  # conv, conv_bn_relu
-            branch = depthwise_branch_macs(patches, ct, kt)
-        report.at("conv_branch").macs += branch
-        report.at("mlp").macs += mlp_macs(t, c, config.mlp_ratio)
+    report.at("attention").macs = sum(mha_macs(t, cm)
+                                      for cm in schedule_for(config).attn)
+    report.at("conv_branch").macs = (t - 1) * branch_weights
+    report.at("mlp").macs = config.layers * mlp_macs(t, c, config.mlp_ratio)
     report.at("head").macs = c * config.classes
     return report
 

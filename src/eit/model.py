@@ -20,7 +20,16 @@ from .tensor import (ConvSpec, Tensor, concat, conv2d, dropout, layernorm,
                      matmul, maxpool2d, softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
-BRANCH_STYLES = ("conv", "conv3", "gelu_conv_fc", "conv_bn_relu", "none")
+# Each conv-branch style as the ordered steps it applies to the patch tokens:
+# "conv*" is a stride-1 same-padded conv over the token grid (depthwise, or
+# full width under the parallel policy), "fc" a token-wise linear map, "bn"
+# a batch norm with learned gain and shift, "gelu"/"relu" activations.
+BRANCH_STEPS = {"conv": ("conv",),
+                "conv3": ("conv0", "conv1", "conv2"),
+                "gelu_conv_fc": ("gelu", "conv", "fc"),
+                "conv_bn_relu": ("conv", "bn", "relu"),
+                "none": ()}
+BRANCH_STYLES = tuple(BRANCH_STEPS)
 POS_EMBED_MODES = ("none", "trainable")
 
 
@@ -110,7 +119,7 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ModelConfig:
     """Build a ModelConfig from a JSON document; unknown keys are rejected."""
-    def pick(src, cls, known, required):
+    def pick(src, known, required):
         unknown = set(src) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -120,13 +129,11 @@ def config_from_dict(doc: dict) -> ModelConfig:
 
     top = ("channels", "layers", "heads", "classes", "image", "eitp", "eitt",
            "mlp_ratio", "split_policy", "pos_embed", "dropout")
-    pick(doc, ModelConfig, top, ("channels", "layers", "heads", "classes",
-                                 "image", "eitp"))
+    pick(doc, top, ("channels", "layers", "heads", "classes", "image", "eitp"))
     eitp = doc["eitp"]
-    pick(eitp, PatchStage, ("kernel", "stride", "padding", "pool"),
-         ("kernel", "stride"))
+    pick(eitp, ("kernel", "stride", "padding", "pool"), ("kernel", "stride"))
     eitt = doc.get("eitt", {})
-    pick(eitt, ConvBranch, ("kernel", "stride", "branch_style"), ())
+    pick(eitt, ("kernel", "stride", "branch_style"), ())
     kwargs = {k: doc[k] for k in ("channels", "layers", "heads", "classes",
                                   "mlp_ratio", "split_policy", "pos_embed",
                                   "dropout") if k in doc}
@@ -195,6 +202,17 @@ def schedule_for(config: ModelConfig) -> SplitSchedule:
                           config.split_policy)
 
 
+def _branch_steps(config: ModelConfig, width: int) -> tuple[tuple[str, ...], int]:
+    """The steps of a conv branch of the given width and its conv groups:
+    one full standard conv under the parallel policy, else the configured
+    style's depthwise steps."""
+    if width == 0:
+        return (), 1
+    if config.split_policy == "parallel":
+        return ("conv",), 1
+    return BRANCH_STEPS[config.eitt.branch_style], width
+
+
 # -- parameters ------------------------------------------------------------
 
 
@@ -221,25 +239,18 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
                 (f"{p}.attn.qkv.bias", (3 * cm,), "attention", "zeros"),
                 (f"{p}.attn.out.weight", (cm, cm), "attention", "proj"),
                 (f"{p}.attn.out.bias", (cm,), "attention", "zeros")]
-        style = config.eitt.branch_style
-        if config.split_policy == "parallel":
-            # full-width standard convolution, summed with attention
-            out += [(f"{p}.conv.weight", (c, c, kt, kt), "conv_branch", "conv"),
-                    (f"{p}.conv.bias", (c,), "conv_branch", "conv_bias")]
-        elif ct > 0 and style != "none":
-            if style == "conv3":
-                for j in range(3):
-                    out += [(f"{p}.conv{j}.weight", (ct, 1, kt, kt), "conv_branch", "conv"),
-                            (f"{p}.conv{j}.bias", (ct,), "conv_branch", "conv_bias")]
-            else:
-                out += [(f"{p}.conv.weight", (ct, 1, kt, kt), "conv_branch", "conv"),
-                        (f"{p}.conv.bias", (ct,), "conv_branch", "conv_bias")]
-                if style == "gelu_conv_fc":
-                    out += [(f"{p}.fc.weight", (ct, ct), "conv_branch", "proj"),
-                            (f"{p}.fc.bias", (ct,), "conv_branch", "zeros")]
-                elif style == "conv_bn_relu":
-                    out += [(f"{p}.bn.gain", (ct,), "conv_branch", "ones"),
-                            (f"{p}.bn.shift", (ct,), "conv_branch", "zeros")]
+        steps, groups = _branch_steps(config, ct)
+        for step in steps:
+            if step.startswith("conv"):
+                out += [(f"{p}.{step}.weight", (ct, ct // groups, kt, kt),
+                         "conv_branch", "conv"),
+                        (f"{p}.{step}.bias", (ct,), "conv_branch", "conv_bias")]
+            elif step == "fc":
+                out += [(f"{p}.fc.weight", (ct, ct), "conv_branch", "proj"),
+                        (f"{p}.fc.bias", (ct,), "conv_branch", "zeros")]
+            elif step == "bn":
+                out += [(f"{p}.bn.gain", (ct,), "conv_branch", "ones"),
+                        (f"{p}.bn.shift", (ct,), "conv_branch", "zeros")]
         out += [(f"{p}.norm2.gain", (c,), "norm", "ones"),
                 (f"{p}.norm2.shift", (c,), "norm", "zeros"),
                 (f"{p}.mlp.fc1.weight", (c, ratio * c), "mlp", "proj"),
@@ -365,43 +376,31 @@ def _batchnorm_tokens(x: Tensor, gain: Tensor, shift: Tensor,
 
 
 def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
-                config: ModelConfig, grid: tuple[int, int],
-                standard: bool = False) -> Tensor:
-    """Convolution branch over (N, T, C_T). The class token (index 0) has
-    no grid position and bypasses the branch untouched."""
+                config: ModelConfig, grid: tuple[int, int]) -> Tensor:
+    """Convolution branch over (N, T, C_T): the steps of BRANCH_STEPS in
+    order. The class token (index 0) has no grid position and bypasses the
+    branch untouched."""
     n, t, ct = x.shape
     h0, w0 = grid
     if t - 1 != h0 * w0:
         raise ContractError(f"{t - 1} patch tokens do not fill a {h0}x{w0} grid")
-    style = "conv" if standard else config.eitt.branch_style
-    if style == "none" or ct == 0:
+    steps, groups = _branch_steps(config, ct)
+    if not steps:
         return x
     kt = config.eitt.kernel
-    groups = 1 if standard else ct
     spec = ConvSpec(kt, kt, 1, kt // 2, groups, ct, ct)
-    patches = x[:, 1:, :]
-    if standard:
-        y = _grid_conv(patches, params[f"{prefix}.conv.weight"],
-                       params[f"{prefix}.conv.bias"], spec, grid)
-    elif style == "conv":
-        y = _grid_conv(patches, params[f"{prefix}.conv.weight"],
-                       params[f"{prefix}.conv.bias"], spec, grid)
-    elif style == "conv3":
-        y = patches
-        for j in range(3):
-            y = _grid_conv(y, params[f"{prefix}.conv{j}.weight"],
-                           params[f"{prefix}.conv{j}.bias"], spec, grid)
-    elif style == "gelu_conv_fc":
-        y = _grid_conv(patches.gelu(), params[f"{prefix}.conv.weight"],
-                       params[f"{prefix}.conv.bias"], spec, grid)
-        y = matmul(y, params[f"{prefix}.fc.weight"]) + params[f"{prefix}.fc.bias"]
-    elif style == "conv_bn_relu":
-        y = _grid_conv(patches, params[f"{prefix}.conv.weight"],
-                       params[f"{prefix}.conv.bias"], spec, grid)
-        y = _batchnorm_tokens(y, params[f"{prefix}.bn.gain"],
-                              params[f"{prefix}.bn.shift"]).relu()
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown branch style {style!r}")
+    y = x[:, 1:, :]
+    for step in steps:
+        if step.startswith("conv"):
+            y = _grid_conv(y, params[f"{prefix}.{step}.weight"],
+                           params[f"{prefix}.{step}.bias"], spec, grid)
+        elif step == "fc":
+            y = matmul(y, params[f"{prefix}.fc.weight"]) + params[f"{prefix}.fc.bias"]
+        elif step == "bn":
+            y = _batchnorm_tokens(y, params[f"{prefix}.bn.gain"],
+                                  params[f"{prefix}.bn.shift"])
+        else:
+            y = getattr(y, step)()
     return concat([x[:, 0:1, :], y], axis=1)
 
 
@@ -423,7 +422,7 @@ def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
     if train and config.dropout > 0:
         attn_out = dropout(attn_out, config.dropout, rng)
     if schedule.policy == "parallel":
-        mix = eitt_branch(n1, params, p, config, grid, standard=True) + attn_out
+        mix = eitt_branch(n1, params, p, config, grid) + attn_out
     elif ct == 0:
         mix = attn_out
     else:

@@ -75,8 +75,9 @@ def _dft_matrix(n: int) -> np.ndarray:
 
 
 def dft2(grid: np.ndarray) -> np.ndarray:
-    """Direct (non-FFT) 2D discrete Fourier transform of an HxW array."""
-    h, w = grid.shape
+    """Direct (non-FFT) 2D discrete Fourier transform over the two trailing
+    axes of an (..., H, W) array."""
+    h, w = grid.shape[-2:]
     return _dft_matrix(h) @ grid.astype(np.complex128) @ _dft_matrix(w).T
 
 
@@ -99,15 +100,14 @@ def frequency_share(rec: ProbeRecord, bins: int = DEFAULT_BINS) -> np.ndarray:
     [0, pi]. Per channel the patch tokens (class token excluded) are
     reshaped to the grid and transformed; magnitudes are summed over
     channels and normalized by the total mass."""
+    if bins < 1:
+        raise DiagnosticError(f"frequency share needs at least one bin, got {bins}")
     h, w = rec.grid
     patches = rec.layer_input[1:]
     if patches.shape[0] != h * w:
         raise ContractError(f"{patches.shape[0]} patch tokens do not reshape "
                             f"to grid {rec.grid}")
-    slab = patches.reshape(h, w, -1)
-    mag = np.zeros((h, w))
-    for c in range(slab.shape[2]):
-        mag += np.abs(dft2(slab[:, :, c]))
+    mag = np.abs(dft2(patches.T.reshape(-1, h, w))).sum(axis=0)
     total = mag.sum()
     shares = np.zeros(bins)
     if total > 0:

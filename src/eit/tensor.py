@@ -1,11 +1,11 @@
 """Dense tensor engine with reverse-mode differentiation.
 
-A Tensor wraps a numpy array (f64 by default, f32 allowed for speed) and
-records the operations applied to it so that ``backward()`` can replay the
-graph in reverse topological order. Only the kernels the model actually
-needs are implemented: matmul, standard/grouped/depthwise 2D convolution,
-max-pooling, softmax, layer normalization, GELU/ReLU, slicing and channel
-concatenation, plus the usual arithmetic glue.
+A Tensor wraps a float64 numpy array and records the operations applied
+to it so that ``backward()`` can replay the graph in reverse topological
+order. Only the kernels the model actually needs are implemented: matmul,
+standard/grouped/depthwise 2D convolution, max-pooling, softmax, layer
+normalization, GELU/ReLU, slicing and channel concatenation, plus the
+usual arithmetic glue.
 
 All operations are pure: identical inputs give bit-identical outputs.
 """
@@ -69,10 +69,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Node of the autograd graph."""
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype or np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -82,7 +82,7 @@ class Tensor:
 
     @staticmethod
     def _from_op(data, parents, backward):
-        out = Tensor(data, dtype=data.dtype)
+        out = Tensor(data)
         if any(p.requires_grad or p._parents for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -101,7 +101,7 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
+        return Tensor(self.data.copy())
 
     def zero_grad(self):
         self.grad = None
@@ -142,13 +142,11 @@ class Tensor:
     # ---- arithmetic ------------------------------------------------------
 
     @staticmethod
-    def _wrap(x, like: "Tensor") -> "Tensor":
-        if isinstance(x, Tensor):
-            return x
-        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    def _wrap(x) -> "Tensor":
+        return x if isinstance(x, Tensor) else Tensor(x)
 
     def __add__(self, other):
-        other = Tensor._wrap(other, self)
+        other = Tensor._wrap(other)
 
         def back(g):
             self._accum(_unbroadcast(g, self.shape))
@@ -163,13 +161,13 @@ class Tensor:
         return Tensor._from_op(-self.data, (self,), back)
 
     def __sub__(self, other):
-        return self + (-Tensor._wrap(other, self))
+        return self + (-Tensor._wrap(other))
 
     def __rsub__(self, other):
-        return Tensor._wrap(other, self) + (-self)
+        return Tensor._wrap(other) + (-self)
 
     def __mul__(self, other):
-        other = Tensor._wrap(other, self)
+        other = Tensor._wrap(other)
 
         def back(g):
             self._accum(_unbroadcast(g * other.data, self.shape))
@@ -179,7 +177,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._wrap(other, self)
+        other = Tensor._wrap(other)
 
         def back(g):
             self._accum(_unbroadcast(g / other.data, self.shape))
@@ -187,7 +185,7 @@ class Tensor:
         return Tensor._from_op(self.data / other.data, (self, other), back)
 
     def __rtruediv__(self, other):
-        return Tensor._wrap(other, self) / self
+        return Tensor._wrap(other) / self
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -327,7 +325,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep.astype(x.data.dtype))
+    return x * Tensor(keep)
 
 
 # ---- convolution and pooling --------------------------------------------

@@ -78,3 +78,17 @@ class TestValidation:
                       header + blob[16 + hlen:])
         with pytest.raises(LoadError, match="config"):
             checkpoint.load(p)
+
+    @pytest.mark.parametrize("tag", ["f16", "f32"])
+    def test_non_f64_dtype_rejected(self, tmp_path, tag):
+        p = tmp_path / "m.ckpt"
+        checkpoint.save(p, init_params(MICRO, 0), MICRO)
+        blob = p.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = blob[16:16 + hlen]
+        assert header.count(b'"dtype": "f64"') == len(init_params(MICRO, 0))
+        header = header.replace(b'"dtype": "f64"', f'"dtype": "{tag}"'.encode(), 1)
+        p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(header)) +
+                      header + blob[16 + hlen:])
+        with pytest.raises(LoadError, match="dtype"):
+            checkpoint.load(p)

@@ -152,6 +152,46 @@ class TestPipeline:
                      "--data", str(tmp_path), "--out", str(tmp_path)]) == 1
 
 
+class TestExitCodes:
+    @pytest.fixture
+    def micro_run(self, tmp_path):
+        from eit import checkpoint
+        from eit.model import config_from_dict, init_params
+        cfg = config_from_dict(MICRO_CFG)
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save(ckpt, init_params(cfg, 0), cfg)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--n", "4",
+                     "--size", "8"]) == 0
+        return ckpt, data
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--bins"])
+    def test_probe_non_positive_count_exits_1(self, micro_run, flag, tmp_path,
+                                              capsys):
+        ckpt, data = micro_run
+        assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "probe"), flag, "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_divergent_train_still_writes_manifest(self, tiny_cfg, tmp_path):
+        data = tmp_path / "data"
+        main(["gen-data", "--out", str(data), "--n", "8", "--size", "16"])
+        hot = tmp_path / "hot.json"
+        hot.write_text(json.dumps({**TRAIN_CFG, "epochs": 20,
+                                   "batch_size": 2, "base_lr": 50.0,
+                                   "min_lr": 0.5}))
+        run = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", tiny_cfg,
+                         "--train-config", str(hot),
+                         "--data", str(data), "--out", str(run)])
+        assert code == 2
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["command"] == "train"
+        assert manifest["train_config"]["base_lr"] == 50.0
+        assert not (run / "model.ckpt").exists()
+
+
 class TestGenData:
     def test_manifest_and_count(self, tmp_path):
         out = tmp_path / "d"

@@ -6,6 +6,7 @@ from eit.costs import (cost_report, count_flops, count_params,
                        depthwise_branch_macs, mha_attention_macs, mha_macs,
                        mha_projection_macs, mlp_macs)
 from eit.model import ConvBranch, ModelConfig, PatchStage, init_params
+from eit.model import BRANCH_STYLES, SPLIT_POLICIES
 
 VARIANTS = {
     "mini": (ModelConfig(channels=250, layers=5, heads=10, classes=1000,
@@ -114,3 +115,32 @@ class TestFlops:
             hc = (32 - kernel) // stride + 1
             assert count_flops(cfg).components["patch_embed"].macs == \
                 hc * hc * 250 * 3 * kernel * kernel
+
+
+
+class TestConvBranchMacs:
+    @pytest.mark.parametrize("style", BRANCH_STYLES)
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_exact_closed_form(self, style, policy):
+        # C=8, L=3, h=2, 8x8 image, k=3 s=1 p=1 pool=2: 4x4 grid, 16 patches;
+        # conv widths decreasing (6, 4, 0), increasing (0, 4, 6),
+        # invariant (4, 4, 4), parallel (8, 8, 8), none (0, 0, 0)
+        cfg = dataclasses.replace(MICRO, channels=8, layers=3, split_policy=policy,
+                                  eitt=ConvBranch(kernel=5, branch_style=style))
+        widths = {"decreasing": (6, 4, 0), "increasing": (0, 4, 6),
+                  "invariant": (4, 4, 4), "parallel": (8, 8, 8),
+                  "none": (0, 0, 0)}[policy]
+        patches, k = 16, 5
+        expected = 0
+        for ct in widths:
+            if policy == "parallel":
+                expected += k * k * 8 * 8 * patches
+            elif ct == 0 or style == "none":
+                continue
+            elif style == "conv3":
+                expected += 3 * depthwise_branch_macs(patches, ct, k)
+            elif style == "gelu_conv_fc":
+                expected += depthwise_branch_macs(patches, ct, k) + patches * ct * ct
+            else:
+                expected += depthwise_branch_macs(patches, ct, k)
+        assert count_flops(cfg).components["conv_branch"].macs == expected

@@ -176,6 +176,21 @@ class TestFrequencyShare:
         assert idx[0, 0] == 0  # DC
         assert idx[4, 4] == 9  # corner (Nyquist both axes) folds into last bin
 
+    def test_dft_transforms_trailing_axes_of_a_stack(self):
+        stack = np.random.default_rng(6).standard_normal((3, 2, 3, 4))
+        spec = dft2(stack)
+        assert spec.shape == stack.shape
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_allclose(spec[i, j], dft2_loops(stack[i, j]),
+                                           atol=1e-9)
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_no_bins_rejected(self, bins):
+        rec = make_record(random_row_stochastic(np.random.default_rng(7), 1, 5))
+        with pytest.raises(DiagnosticError, match="bin"):
+            frequency_share(rec, bins)
+
 
 class TestAttentionMap:
     def test_identity_attention_one_hot(self):

@@ -246,3 +246,9 @@ class TestGlue:
         x = Tensor(rng.standard_normal((4, 2)))
         matmul(w, x).sum().backward()
         np.testing.assert_allclose(w.grad, np.outer(np.ones(3), x.data.sum(axis=1)))
+
+    def test_every_tensor_is_f64(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * np.float32(2.0) + 1
+        assert x.data.dtype == y.data.dtype == np.float64
+        assert x.detach().data.dtype == np.float64
