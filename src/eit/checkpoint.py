@@ -9,6 +9,7 @@ offset into the payload region. Every tensor is float64, tagged "f64".
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -19,6 +20,10 @@ from .model import ModelConfig, Tensor, check_param_shapes, config_from_dict, \
 
 MAGIC = b"EITCKPT1"
 _F64 = np.dtype("<f8")
+
+
+def _is_size(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def save(path, params: dict[str, Tensor], config: ModelConfig):
@@ -48,23 +53,28 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
         raise LoadError(f"cannot read checkpoint {path}: {e}") from e
     if blob[:8] != MAGIC:
         raise LoadError(f"{path}: bad magic, not a checkpoint")
-    (hlen,) = struct.unpack("<Q", blob[8:16])
     try:
+        (hlen,) = struct.unpack("<Q", blob[8:16])
         header = json.loads(blob[16:16 + hlen])
         config = config_from_dict(header["config"])
+        tensors = header["tensors"]
+        if not all(isinstance(m, dict) for m in tensors.values()):
+            raise TypeError("'tensors' must map names to objects")
     except Exception as e:
         raise LoadError(f"{path}: malformed header: {e}") from e
     payload = blob[16 + hlen:]
     params = {}
-    for name, meta in header["tensors"].items():
+    for name, meta in tensors.items():
         dtype = meta.get("dtype")
         if dtype != "f64":
             raise LoadError(f"{path}: tensor {name} has dtype {dtype!r}, "
                             f"only 'f64' is supported")
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = meta["offset"]
-        end = start + count * _F64.itemsize
+        shape, start = meta.get("shape"), meta.get("offset")
+        if not (isinstance(shape, list) and all(map(_is_size, shape))
+                and _is_size(start)):
+            raise LoadError(f"{path}: tensor {name} has bad shape {shape!r} "
+                            f"or offset {start!r}")
+        end = start + math.prod(shape) * _F64.itemsize
         if end > len(payload):
             raise LoadError(f"{path}: tensor {name} payload out of range")
         data = np.frombuffer(payload[start:end], dtype=_F64).reshape(shape)

@@ -37,7 +37,11 @@ def _write_manifest(out_dir, command: str, payload: dict):
 
 def _apply_overrides(config, args):
     if getattr(args, "image", None):
-        h, w = (int(v) for v in args.image.lower().split("x"))
+        try:
+            h, w = (int(v) for v in args.image.lower().split("x"))
+        except ValueError:
+            raise ConfigError(f"--image must be HxW, e.g. 224x224, "
+                              f"got {args.image!r}") from None
         config = dataclasses.replace(config, image=(h, w, 3))
     if getattr(args, "classes", None):
         config = dataclasses.replace(config, classes=args.classes)
@@ -125,9 +129,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config)
     tconfig = load_train_config(args.train_config)
-    if not os.path.isdir(args.data):
-        print(f"error: data directory not found: {args.data}", file=sys.stderr)
-        return 1
     dataset = load_dataset(args.data)
     _write_manifest(args.out, "train",
                     {"config": config_to_dict(config),
@@ -141,10 +142,10 @@ def cmd_train(args) -> int:
 def cmd_probe(args) -> int:
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be positive, got {args.bins}")
     params, config = checkpoint.load(args.checkpoint)
-    if not os.path.isdir(args.data):
-        print(f"error: data directory not found: {args.data}", file=sys.stderr)
-        return 1
+    params = {name: p.detach() for name, p in params.items()}
     dataset = load_dataset(args.data)
     m = min(args.samples, len(dataset))
     h0, w0 = config.token_grid()

@@ -2,7 +2,10 @@
 
 A Tensor wraps a float64 numpy array and records the operations applied
 to it so that ``backward()`` can replay the graph in reverse topological
-order. Only the kernels the model actually needs are implemented: matmul,
+order. An op's backward returns one gradient per parent; ``backward()``
+sums them over broadcast axes, accumulates them, keeps ``.grad`` only on
+leaves and releases the graph, so a graph is replayed once. Only the
+kernels the model actually needs are implemented: matmul,
 standard/grouped/depthwise 2D convolution, max-pooling, softmax, layer
 normalization, GELU/ReLU, slicing and channel concatenation, plus the
 usual arithmetic glue.
@@ -82,8 +85,11 @@ class Tensor:
 
     @staticmethod
     def _from_op(data, parents, backward):
+        """Node for an op's output. ``backward(g)`` returns one gradient per
+        parent, in order, and writes to no Tensor; ``Tensor.backward``
+        replays the graph once and then releases it."""
         out = Tensor(data)
-        if any(p.requires_grad or p._parents for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -101,7 +107,8 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
+        """A leaf sharing this tensor's data; ops on it build no graph."""
+        return Tensor(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -128,16 +135,19 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    def _accum(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + grad
+        grads = {id(self): np.ones_like(self.data)}
+        while topo:
+            node = topo.pop()
+            g = grads.pop(id(node), None)
+            if node._backward is None:
+                if g is not None:
+                    node.grad = np.array(g) if node.grad is None else node.grad + g
+                continue
+            for p, gp in zip(node._parents, node._backward(g), strict=True):
+                if p.requires_grad:
+                    gp = _unbroadcast(gp, p.shape)
+                    grads[id(p)] = grads[id(p)] + gp if id(p) in grads else gp
+            node._parents, node._backward = (), None
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -147,18 +157,13 @@ class Tensor:
 
     def __add__(self, other):
         other = Tensor._wrap(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(g, other.shape))
-        return Tensor._from_op(self.data + other.data, (self, other), back)
+        return Tensor._from_op(self.data + other.data, (self, other),
+                               lambda g: (g, g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        def back(g):
-            self._accum(-g)
-        return Tensor._from_op(-self.data, (self,), back)
+        return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-Tensor._wrap(other))
@@ -168,21 +173,16 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._wrap(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g * other.data, self.shape))
-            other._accum(_unbroadcast(g * self.data, other.shape))
-        return Tensor._from_op(self.data * other.data, (self, other), back)
+        return Tensor._from_op(self.data * other.data, (self, other),
+                               lambda g: (g * other.data, g * self.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor._wrap(other)
-
-        def back(g):
-            self._accum(_unbroadcast(g / other.data, self.shape))
-            other._accum(_unbroadcast(-g * self.data / (other.data ** 2), other.shape))
-        return Tensor._from_op(self.data / other.data, (self, other), back)
+        return Tensor._from_op(
+            self.data / other.data, (self, other),
+            lambda g: (g / other.data, -g * self.data / (other.data ** 2)))
 
     def __rtruediv__(self, other):
         return Tensor._wrap(other) / self
@@ -191,28 +191,21 @@ class Tensor:
         return matmul(self, other)
 
     def pow(self, exponent: float):
-        def back(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-        return Tensor._from_op(self.data ** exponent, (self,), back)
+        return Tensor._from_op(
+            self.data ** exponent, (self,),
+            lambda g: (g * exponent * self.data ** (exponent - 1),))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
-
-        def back(g):
-            self._accum(g * 0.5 / out_data)
-        return Tensor._from_op(out_data, (self,), back)
+        return Tensor._from_op(out_data, (self,), lambda g: (g * 0.5 / out_data,))
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def back(g):
-            self._accum(g * out_data)
-        return Tensor._from_op(out_data, (self,), back)
+        return Tensor._from_op(out_data, (self,), lambda g: (g * out_data,))
 
     def log(self):
-        def back(g):
-            self._accum(g / self.data)
-        return Tensor._from_op(np.log(self.data), (self,), back)
+        return Tensor._from_op(np.log(self.data), (self,),
+                               lambda g: (g / self.data,))
 
     # ---- shape ops -------------------------------------------------------
 
@@ -220,35 +213,28 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         old = self.shape
-
-        def back(g):
-            self._accum(g.reshape(old))
-        return Tensor._from_op(self.data.reshape(shape), (self,), back)
+        return Tensor._from_op(self.data.reshape(shape), (self,),
+                               lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inv = np.argsort(axes)
-
-        def back(g):
-            self._accum(g.transpose(inv))
-        return Tensor._from_op(self.data.transpose(axes), (self,), back)
+        return Tensor._from_op(self.data.transpose(axes), (self,),
+                               lambda g: (g.transpose(inv),))
 
     def __getitem__(self, key):
         def back(g):
             gx = np.zeros_like(self.data)
             np.add.at(gx, key, g)
-            self._accum(gx)
+            return (gx,)
         return Tensor._from_op(self.data[key], (self,), back)
 
     def sum(self, axis=None, keepdims: bool = False):
         def back(g):
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.shape).copy())
+            return (np.broadcast_to(g, self.shape),)
         return Tensor._from_op(self.data.sum(axis=axis, keepdims=keepdims),
                                (self,), back)
 
@@ -260,10 +246,8 @@ class Tensor:
 
     def relu(self):
         mask = self.data > 0
-
-        def back(g):
-            self._accum(g * mask)
-        return Tensor._from_op(np.where(mask, self.data, 0.0), (self,), back)
+        return Tensor._from_op(np.where(mask, self.data, 0.0), (self,),
+                               lambda g: (g * mask,))
 
     def gelu(self):
         """Exact Gaussian-CDF GELU: x * Phi(x)."""
@@ -272,7 +256,7 @@ class Tensor:
 
         def back(g):
             dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            self._accum(g * (phi + x * dens))
+            return (g * (phi + x * dens),)
         return Tensor._from_op(x * phi, (self,), back)
 
 
@@ -280,12 +264,8 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
     tensors = tuple(tensors)
-
-    def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accum(piece)
     return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis),
-                           tensors, back)
+                           tensors, lambda g: np.split(g, splits, axis=axis))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -294,11 +274,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     b = b if isinstance(b, Tensor) else Tensor(b)
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul inner mismatch: {a.shape} @ {b.shape}")
-
-    def back(g):
-        a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
-    return Tensor._from_op(a.data @ b.data, (a, b), back)
+    return Tensor._from_op(
+        a.data @ b.data, (a, b),
+        lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -365,8 +343,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
 
     def back(g):
         gg = g.reshape(n, spec.groups, cog, oh, ow)
-        weight._accum(
-            np.einsum("ngopq,ngcpqkl->gockl", gg, wing, optimize=True).reshape(wshape))
+        gw = np.einsum("ngopq,ngcpqkl->gockl", gg, wing, optimize=True).reshape(wshape)
         gwin = np.einsum("ngopq,gockl->ngcpqkl", gg, wg, optimize=True)
         gwin = gwin.reshape(n, spec.in_channels, oh, ow, spec.kernel_h, spec.kernel_w)
         gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
@@ -374,9 +351,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
             for l in range(spec.kernel_w):
                 gxp[:, :, k:k + s * (oh - 1) + 1:s,
                     l:l + s * (ow - 1) + 1:s] += gwin[..., k, l]
-        x._accum(gxp[:, :, p:p + h, p:p + w] if p else gxp)
-        if bias is not None:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+        gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
     return Tensor._from_op(out, parents, back)
 
 
@@ -400,5 +376,5 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         rows = pi * stride + idx // window
         cols = qi * stride + idx % window
         np.add.at(gx, (ni, ci, rows, cols), g)
-        x._accum(gx)
+        return (gx,)
     return Tensor._from_op(out, (x,), back)

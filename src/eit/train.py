@@ -106,6 +106,7 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate(params, config: ModelConfig, dataset: Dataset,
              batch_size: int = 64) -> tuple[float, float]:
+    params = {name: p.detach() for name, p in params.items()}
     losses, hits, total = 0.0, 0.0, 0
     for lo in range(0, len(dataset), batch_size):
         images = dataset.images[lo:lo + batch_size]

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -91,4 +92,39 @@ class TestValidation:
         p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(header)) +
                       header + blob[16 + hlen:])
         with pytest.raises(LoadError, match="dtype"):
+            checkpoint.load(p)
+
+
+def edit_header(tmp_path, change):
+    """Save MICRO, apply ``change`` to the parsed JSON header, write it back."""
+    p = tmp_path / "m.ckpt"
+    checkpoint.save(p, init_params(MICRO, 0), MICRO)
+    blob = p.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    change(header)
+    raw = json.dumps(header).encode()
+    p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(raw)) + raw +
+                  blob[16 + hlen:])
+    return p
+
+
+def first_tensor(header):
+    return next(iter(header["tensors"].values()))
+
+
+class TestHostileHeader:
+    def test_missing_tensors(self, tmp_path):
+        p = edit_header(tmp_path, lambda h: h.pop("tensors"))
+        with pytest.raises(LoadError, match="header"):
+            checkpoint.load(p)
+
+    def test_non_numeric_shape(self, tmp_path):
+        p = edit_header(tmp_path, lambda h: first_tensor(h).update(shape="ab"))
+        with pytest.raises(LoadError, match="shape"):
+            checkpoint.load(p)
+
+    def test_negative_offset(self, tmp_path):
+        p = edit_header(tmp_path, lambda h: first_tensor(h).update(offset=-8))
+        with pytest.raises(LoadError, match="offset"):
             checkpoint.load(p)

@@ -56,6 +56,11 @@ class TestDescribe:
         doc = json.loads((out / "costs.json").read_text())
         assert doc["tokens"] == 1 + 8 * 8
 
+    def test_malformed_image_override_exits_1(self, micro_cfg, tmp_path, capsys):
+        assert main(["describe", "--config", micro_cfg, "--image", "12",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "--image" in capsys.readouterr().err
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["describe", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -171,6 +176,13 @@ class TestExitCodes:
         ckpt, data = micro_run
         assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
                      "--out", str(tmp_path / "probe"), flag, "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_probe_missing_data_dir_exits_1(self, micro_run, tmp_path, capsys):
+        ckpt, _ = micro_run
+        assert main(["probe", "--checkpoint", str(ckpt),
+                     "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "probe")]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_divergent_train_still_writes_manifest(self, tiny_cfg, tmp_path):

@@ -303,6 +303,13 @@ class TestForward:
         b = forward(x, params, MICRO).data
         assert (a == b).all()
 
+    def test_detached_params_build_no_graph(self):
+        params = init_params(MICRO, 0)
+        x = np.random.default_rng(4).random((2, 3, 8, 8))
+        logits = forward(x, {k: p.detach() for k, p in params.items()}, MICRO)
+        assert not logits.requires_grad and logits._parents == ()
+        assert (logits.data == forward(x, params, MICRO).data).all()
+
     def test_wrong_image_size_rejected(self):
         params = init_params(MICRO, 0)
         with pytest.raises(ContractError):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,3 +254,29 @@ class TestGlue:
         y = x * np.float32(2.0) + 1
         assert x.data.dtype == y.data.dtype == np.float64
         assert x.detach().data.dtype == np.float64
+
+
+class TestEngineContract:
+    def test_backward_releases_the_graph(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        hidden = x * 2.0
+        ref = weakref.ref(hidden)
+        loss = hidden.sum()
+        del hidden
+        loss.backward()
+        assert ref() is None
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_leaves_own_their_gradients(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        np.testing.assert_array_equal(a.grad, np.ones(3))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    def test_leaves_accumulate_across_backward_calls(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        (x * 3.0).sum().backward()
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, 3.0 + 2.0 * x.data)
