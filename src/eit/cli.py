@@ -94,10 +94,8 @@ def cmd_gradcheck(args) -> int:
     config = load_config(args.config)
     total = costs.count_params(config).total_params
     if total > GRADCHECK_PARAM_LIMIT:
-        print(f"error: config has {total} parameters; finite differences are "
-              f"only tractable up to {GRADCHECK_PARAM_LIMIT}. Use a micro "
-              f"config (small channels/layers/image).", file=sys.stderr)
-        return 1
+        raise ConfigError(f"config has {total} parameters; finite differences "
+                          f"are only tractable up to {GRADCHECK_PARAM_LIMIT}")
     rng = np.random.default_rng(args.seed)
     params = init_params(config, args.seed)
     h, w, _ = config.image

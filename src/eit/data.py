@@ -95,6 +95,8 @@ def load_dataset(path, split: str = "train") -> Dataset:
         h, w = int(dims["height"]), int(dims["width"])
     except (OSError, KeyError, ValueError) as e:
         raise LoadError(f"bad or missing sidecar {sidecar}: {e}") from e
+    if h < 1 or w < 1:
+        raise LoadError(f"{sidecar}: image size {h}x{w} is not positive")
     try:
         with open(labels_file, newline="") as f:
             rows = [r for r in csv.DictReader(f)]
@@ -112,13 +114,13 @@ def load_dataset(path, split: str = "train") -> Dataset:
         fpath = os.path.join(path, name)
         try:
             raw = np.fromfile(fpath, dtype=np.uint8)
-        except OSError as e:
-            raise LoadError(f"cannot read image {fpath}: {e}") from e
+            labels[i] = int(row["label"])
+        except (OSError, ValueError) as e:
+            raise LoadError(f"{labels_file} row {i + 1} ({name}): {e}") from e
         if raw.size != expected:
             raise LoadError(f"{fpath}: got {raw.size} bytes, expected {expected} "
                             f"for 3x{h}x{w}")
         images[i] = raw.reshape(3, h, w) / 255.0
-        labels[i] = int(row["label"])
     if (labels < 0).any():
         raise LoadError(f"{labels_file}: negative label")
     return Dataset(images, labels, split)

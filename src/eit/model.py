@@ -11,19 +11,19 @@ to pure attention at the last layer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import (ConvSpec, Tensor, concat, conv2d, dropout, layernorm,
-                     matmul, maxpool2d, softmax_rows)
+                     matmul, maxpool2d, normalize, softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
 # "conv*" is a stride-1 same-padded conv over the token grid (depthwise, or
 # full width under the parallel policy), "fc" a token-wise linear map, "bn"
-# a batch norm with learned gain and shift, "gelu"/"relu" activations.
+# a batch norm on current-batch statistics, "gelu"/"relu" activations.
 BRANCH_STEPS = {"conv": ("conv",),
                 "conv3": ("conv0", "conv1", "conv2"),
                 "gelu_conv_fc": ("gelu", "conv", "fc"),
@@ -31,6 +31,16 @@ BRANCH_STEPS = {"conv": ("conv",),
                 "none": ()}
 BRANCH_STYLES = tuple(BRANCH_STEPS)
 POS_EMBED_MODES = ("none", "trainable")
+
+
+def _require_ints(config) -> None:
+    """Reject a float or bool (e.g. a JSON 8.0) in an int field or image entry."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        for v in {"int": (value,), "tuple[int, int, int]": value}.get(f.type, ()):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{type(config).__name__}.{f.name} must be "
+                                  f"integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +52,16 @@ class PatchStage:
     padding: int = 0
     pool: int = 1
 
+    __post_init__ = _require_ints
+
 
 @dataclass(frozen=True)
 class ConvBranch:
     kernel: int = 3
     stride: int = 1
     branch_style: str = "conv"
+
+    __post_init__ = _require_ints
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,7 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        _require_ints(self)
         if self.channels < 1 or self.layers < 1 or self.heads < 1 or self.classes < 1:
             raise ConfigError("channels/layers/heads/classes must be positive")
         if self.channels % self.heads:
@@ -365,16 +380,6 @@ def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor,
     return x.transpose(0, 2, 3, 1).reshape(n, p, c)
 
 
-def _batchnorm_tokens(x: Tensor, gain: Tensor, shift: Tensor,
-                      eps: float = 1e-5) -> Tensor:
-    # current-batch statistics over (batch, token) for each channel
-    cnt = x.shape[0] * x.shape[1]
-    mu = x.sum(axis=(0, 1), keepdims=True) * (1.0 / cnt)
-    xc = x - mu
-    var = (xc * xc).sum(axis=(0, 1), keepdims=True) * (1.0 / cnt)
-    return xc / (var + eps).sqrt() * gain + shift
-
-
 def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
                 config: ModelConfig, grid: tuple[int, int]) -> Tensor:
     """Convolution branch over (N, T, C_T): the steps of BRANCH_STEPS in
@@ -397,8 +402,8 @@ def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
         elif step == "fc":
             y = matmul(y, params[f"{prefix}.fc.weight"]) + params[f"{prefix}.fc.bias"]
         elif step == "bn":
-            y = _batchnorm_tokens(y, params[f"{prefix}.bn.gain"],
-                                  params[f"{prefix}.bn.shift"])
+            y = normalize(y, (0, 1), params[f"{prefix}.bn.gain"],
+                          params[f"{prefix}.bn.shift"], 1e-5)
         else:
             y = getattr(y, step)()
     return concat([x[:, 0:1, :], y], axis=1)

@@ -6,9 +6,9 @@ order. An op's backward returns one gradient per parent; ``backward()``
 sums them over broadcast axes, accumulates them, keeps ``.grad`` only on
 leaves and releases the graph, so a graph is replayed once. Only the
 kernels the model actually needs are implemented: matmul,
-standard/grouped/depthwise 2D convolution, max-pooling, softmax, layer
-normalization, GELU/ReLU, slicing and channel concatenation, plus the
-usual arithmetic glue.
+standard/grouped/depthwise 2D convolution, max-pooling, softmax and
+log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
+channel concatenation, plus add, negate, multiply, power, sum and mean.
 
 All operations are pure: identical inputs give bit-identical outputs.
 """
@@ -160,52 +160,18 @@ class Tensor:
         return Tensor._from_op(self.data + other.data, (self, other),
                                lambda g: (g, g))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-Tensor._wrap(other))
-
-    def __rsub__(self, other):
-        return Tensor._wrap(other) + (-self)
 
     def __mul__(self, other):
         other = Tensor._wrap(other)
         return Tensor._from_op(self.data * other.data, (self, other),
                                lambda g: (g * other.data, g * self.data))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor._wrap(other)
-        return Tensor._from_op(
-            self.data / other.data, (self, other),
-            lambda g: (g / other.data, -g * self.data / (other.data ** 2)))
-
-    def __rtruediv__(self, other):
-        return Tensor._wrap(other) / self
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def pow(self, exponent: float):
         return Tensor._from_op(
             self.data ** exponent, (self,),
             lambda g: (g * exponent * self.data ** (exponent - 1),))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return Tensor._from_op(out_data, (self,), lambda g: (g * 0.5 / out_data,))
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor._from_op(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        return Tensor._from_op(np.log(self.data), (self,),
-                               lambda g: (g / self.data,))
 
     # ---- shape ops -------------------------------------------------------
 
@@ -270,8 +236,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the two trailing axes."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul inner mismatch: {a.shape} @ {b.shape}")
     return Tensor._from_op(
@@ -279,23 +244,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
 
 
+def _row_shifted(x: Tensor, op: str) -> np.ndarray:
+    """x minus its row maxima (a new array), so exp of it cannot overflow."""
+    if not np.isfinite(x.data).all():
+        raise ContractError(f"{op}: non-finite input")
+    return x.data - x.data.max(axis=-1, keepdims=True)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-stabilized softmax over the trailing axis."""
-    if not np.isfinite(x.data).all():
-        raise ContractError("softmax_rows: non-finite input")
-    shift = Tensor(x.data.max(axis=-1, keepdims=True))  # constant, no grad
-    e = (x - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
+    s = _row_shifted(x, "softmax_rows")
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return Tensor._from_op(
+        s, (x,), lambda g: (s * (g - (g * s).sum(axis=-1, keepdims=True)),))
+
+
+def log_softmax(x: Tensor) -> Tensor:
+    """Row-stabilized log-softmax over the trailing axis."""
+    z = _row_shifted(x, "log_softmax")
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return Tensor._from_op(
+        z, (x,), lambda g: (g - np.exp(z) * g.sum(axis=-1, keepdims=True),))
+
+
+def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, shift: Tensor,
+              eps: float) -> Tensor:
+    """Standardize x over ``axes`` (biased variance + eps), then affine."""
+    if eps <= 0:
+        raise ContractError("normalize: eps must be positive")
+    inv_n = 1.0 / np.prod([x.shape[a] for a in axes])
+    xhat = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
+    std = np.sqrt((xhat * xhat).sum(axis=axes, keepdims=True) * inv_n + eps)
+    xhat /= std
+    out = xhat * gain.data
+    out += shift.data
+
+    def back(g):
+        gh = g * gain.data
+        dx = gh - gh.sum(axis=axes, keepdims=True) * inv_n
+        dx -= xhat * ((gh * xhat).sum(axis=axes, keepdims=True) * inv_n)
+        return dx / std, g * xhat, g
+    return Tensor._from_op(out, (x, gain, shift), back)
 
 
 def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize the trailing (channel) axis to mean 0 / var 1, then affine."""
-    if eps <= 0:
-        raise ContractError("layernorm: eps must be positive")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / (var + eps).sqrt() * gain + shift
+    return normalize(x, (-1,), gain, shift, eps)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -337,13 +332,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     out = np.einsum("ngcpqkl,gockl->ngopq", wing, wg, optimize=True)
     out = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data[None, :, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def back(g):
         gg = g.reshape(n, spec.groups, cog, oh, ow)
         gw = np.einsum("ngopq,ngcpqkl->gockl", gg, wing, optimize=True).reshape(wshape)
+        gb = () if bias is None else (g.sum(axis=(0, 2, 3)),)
+        if not x.requires_grad:  # e.g. the raw image: nothing reads its gradient
+            return (None, gw, *gb)
         gwin = np.einsum("ngopq,gockl->ngcpqkl", gg, wg, optimize=True)
         gwin = gwin.reshape(n, spec.in_channels, oh, ow, spec.kernel_h, spec.kernel_w)
         gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
@@ -352,7 +350,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
                 gxp[:, :, k:k + s * (oh - 1) + 1:s,
                     l:l + s * (ow - 1) + 1:s] += gwin[..., k, l]
         gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
-        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=(0, 2, 3)))
+        return (gx, gw, *gb)
     return Tensor._from_op(out, parents, back)
 
 
@@ -366,15 +364,16 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise GeometryError(f"pool window {window} exceeds input {h}x{w}")
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
-    win = _windows(x.data, window, window, stride).reshape(n, c, oh, ow, -1)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    # Per image: gathering the whole batch's windows would copy the input.
+    idx = np.empty((n, c, oh, ow), dtype=np.intp)
+    for i in range(n):
+        win = _windows(x.data[i:i + 1], window, window, stride)
+        idx[i] = win.reshape(c, oh, ow, -1).argmax(axis=-1)
+    ni, ci, pi, qi = np.ogrid[:n, :c, :oh, :ow]
+    at = (ni, ci, pi * stride + idx // window, qi * stride + idx % window)
 
     def back(g):
         gx = np.zeros_like(x.data)
-        ni, ci, pi, qi = np.indices(idx.shape)
-        rows = pi * stride + idx // window
-        cols = qi * stride + idx % window
-        np.add.at(gx, (ni, ci, rows, cols), g)
+        np.add.at(gx, at, g)
         return (gx,)
-    return Tensor._from_op(out, (x,), back)
+    return Tensor._from_op(x.data[at], (x,), back)

@@ -16,6 +16,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, ContractError, DivergenceError
 from .model import ModelConfig, Tensor, forward, init_params
+from .tensor import log_softmax
 from . import checkpoint
 
 # A run has diverged once a loss exceeds this multiple of ln(classes), the
@@ -69,11 +70,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, k = logits.shape
     if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
         raise ContractError(f"labels do not index {k} classes for batch {n}")
-    shift = Tensor(logits.data.max(axis=-1, keepdims=True))  # constant
-    z = logits - shift
-    lse = z.exp().sum(axis=-1).log()
-    picked = z[np.arange(n), labels]
-    return (lse - picked).mean()
+    return -log_softmax(logits)[np.arange(n), labels].mean()
 
 
 def cosine_lr(step: int, total_steps: int, base: float, minimum: float) -> float:
@@ -134,13 +131,13 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     writes model.ckpt and metrics.csv there. Raises DivergenceError, before
     anything is written, once a batch or evaluation loss leaves the
     DIVERGED_LOSS_FACTOR * ln(classes) bound."""
-    if dataset.classes > model_config.classes:
-        raise ConfigError(f"dataset has {dataset.classes} classes, model "
-                          f"only {model_config.classes}")
+    eval_set = eval_dataset if eval_dataset is not None else dataset
     h, w, _ = model_config.image
-    if dataset.images.shape[2:] != (h, w):
-        raise ConfigError(f"dataset images {dataset.images.shape[2:]} do not "
-                          f"match model image size {(h, w)}")
+    for role, data in (("training", dataset), ("evaluation", eval_set)):
+        if data.classes > model_config.classes or data.images.shape[2:] != (h, w):
+            raise ConfigError(f"{role} dataset ({data.classes} classes, images "
+                              f"{data.images.shape[2:]}) does not fit the model "
+                              f"({model_config.classes} classes, images {(h, w)})")
     params = init_params(model_config, train_config.seed)
     rng = np.random.default_rng(train_config.seed + 1)
     state: dict[str, np.ndarray] = {}
@@ -148,7 +145,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     bs = train_config.batch_size
     batches_per_epoch = (n + bs - 1) // bs
     total_steps = train_config.epochs * batches_per_epoch
-    eval_set = eval_dataset if eval_dataset is not None else dataset
 
     metrics = []
     step = 0

@@ -77,6 +77,14 @@ class TestDescribe:
         assert main(["describe", "--config", str(bad),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("command", ["describe", "gradcheck"])
+    def test_float_channels_exits_1(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CFG, "channels": 8.0}))
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path)]) == 1
+        assert "integer" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_micro_model_passes(self, micro_cfg, tmp_path, capsys):

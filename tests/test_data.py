@@ -76,6 +76,22 @@ class TestRawFormat:
         with pytest.raises(LoadError):
             load_dataset(d)
 
+    def test_non_integer_label(self, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(2, 8, seed=0), d)
+        with open(d / "labels.csv", "w", newline="") as f:
+            csv.writer(f).writerows([["filename", "label"],
+                                     ["img_00000.raw", 0], ["img_00001.raw", "x"]])
+        with pytest.raises(LoadError, match="row 2.*'x'"):
+            load_dataset(d)
+
+    def test_negative_height(self, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(1, 8, seed=0), d)
+        (d / "dataset.json").write_text(json.dumps({"height": -8, "width": 8}))
+        with pytest.raises(LoadError, match="not positive"):
+            load_dataset(d)
+
     def test_corrupt_sidecar(self, tmp_path):
         d = tmp_path / "d"
         save_dataset(generate_synthetic(1, 8, seed=0), d)

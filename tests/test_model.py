@@ -32,6 +32,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             micro(eitt=ConvBranch(3, 2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("channels", 8.0), ("layers", True), ("mlp_ratio", 4.0),
+        ("image", (8.0, 8, 3)), ("eitp", {"kernel": 3.0, "stride": 1}),
+        ("eitp", {"kernel": 3, "stride": 1, "pool": False}),
+        ("eitt", {"kernel": 3.0})])
+    def test_integer_fields_reject_float_and_bool(self, field, value):
+        doc = dict(config_to_dict(MICRO), **{field: value})
+        with pytest.raises(ConfigError, match="integer"):
+            config_from_dict(doc)
+
     def test_json_roundtrip_and_unknown_keys(self):
         doc = config_to_dict(MICRO)
         assert config_from_dict(doc) == MICRO

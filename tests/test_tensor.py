@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eit.errors import ContractError, GeometryError
-from eit.tensor import (ConvSpec, Tensor, concat, conv2d, layernorm, matmul,
-                        maxpool2d, softmax_rows)
+from eit.gradcheck import gradcheck
+from eit.tensor import (ConvSpec, Tensor, concat, conv2d, layernorm,
+                        log_softmax, matmul, maxpool2d, normalize, softmax_rows)
+from eit.train import cross_entropy
 
 from oracles import conv2d_loops, matmul_loops, maxpool_loops
 
@@ -79,6 +81,26 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 3, 5, 5))),
                    Tensor(np.zeros((4, 3, 2, 2))), None, spec)
 
+    def test_raw_input_gets_no_gradient_and_changes_no_other(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 6, 6))
+        w_data, b_data = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
+        spec = ConvSpec(3, 3, 1, 1, in_channels=3, out_channels=4)
+        grads = []
+        for x_grad in (False, True):
+            xt = Tensor(x.copy(), requires_grad=x_grad)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            b = Tensor(b_data.copy(), requires_grad=True)
+            out = conv2d(xt, w, b, spec)
+            if not x_grad:  # the input's slot of the backward is left empty
+                assert out._backward(np.ones(out.shape))[0] is None
+            out.pow(2.0).sum().backward()
+            grads.append((xt.grad, w.grad, b.grad))
+        (gx_raw, gw_raw, gb_raw), (gx, gw, gb) = grads
+        assert gx_raw is None and gx is not None
+        np.testing.assert_array_equal(gw_raw, gw)
+        np.testing.assert_array_equal(gb_raw, gb)
+
     def test_pure(self):
         rng = np.random.default_rng(7)
         x, w = rng.random((1, 2, 5, 5)), rng.random((2, 2, 3, 3))
@@ -120,6 +142,33 @@ class TestMaxpool:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         maxpool2d(x, 2, 2).sum().backward()
         np.testing.assert_array_equal(x.grad.ravel(), [1, 0, 0, 0])
+
+    def test_nan_wins_its_window_like_argmax(self):
+        # a NaN is the maximum of its window; the first NaN takes the gradient
+        x = Tensor(np.array([[[[1.0, np.nan], [np.nan, 5.0]]]]), requires_grad=True)
+        out = maxpool2d(x, 2, 2)
+        assert np.isnan(out.data).all()
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad.ravel(), [0, 1, 0, 0])
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_backward_matches_argmax_on_overlapping_ties(self, trial):
+        rng = np.random.default_rng(trial)
+        x = rng.integers(-2, 2, (2, 3, 7, 7)).astype(float)
+        win, s = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        t = Tensor(x, requires_grad=True)
+        maxpool2d(t, win, s).sum().backward()
+        oh = (7 - win) // s + 1
+        want = np.zeros_like(x)
+        for p in range(oh):
+            for q in range(oh):
+                block = x[:, :, p * s:p * s + win, q * s:q * s + win]
+                k = block.reshape(2, 3, -1).argmax(axis=-1)
+                for ni in range(2):
+                    for ci in range(3):
+                        dy, dx = divmod(int(k[ni, ci]), win)
+                        want[ni, ci, p * s + dy, q * s + dx] += 1
+        np.testing.assert_array_equal(t.grad, want)
 
 
 class TestMatmul:
@@ -221,6 +270,59 @@ class TestLayernorm:
         g, s = self._gs(2)
         with pytest.raises(ContractError):
             layernorm(Tensor([[1.0, 2.0]]), g, s, eps=0.0)
+
+
+class TestFusedNodes:
+    """normalize, softmax_rows and log_softmax are single graph nodes whose
+    analytic backward matches central differences."""
+
+    def test_normalize_over_batch_and_tokens_gradcheck(self):
+        rng = np.random.default_rng(0)
+        params = {"x": Tensor(rng.standard_normal((3, 5, 4)) * 2 + 1,
+                              requires_grad=True),
+                  "gain": Tensor(rng.standard_normal(4), requires_grad=True),
+                  "shift": Tensor(rng.standard_normal(4), requires_grad=True)}
+        # a fixed random projection: sum(out**2) is nearly constant in x
+        # after normalization, which leaves central differences nothing to see
+        proj = Tensor(rng.standard_normal((3, 5, 4)))
+        report = gradcheck(lambda: (normalize(params["x"], (0, 1), params["gain"],
+                                              params["shift"], 1e-5) * proj).sum(),
+                           params)
+        assert max(report.values()) <= 1e-6, report
+
+    def test_cross_entropy_gradcheck_at_large_logits(self):
+        rng = np.random.default_rng(1)
+        params = {"logits": Tensor(rng.standard_normal((4, 5)) + 100.0,
+                                   requires_grad=True)}
+        labels = np.array([0, 4, 2, 2])
+        report = gradcheck(lambda: cross_entropy(params["logits"], labels), params)
+        assert report["logits"] <= 1e-5, report
+
+    def test_log_softmax_matches_log_of_softmax(self):
+        x = np.random.default_rng(2).standard_normal((3, 6)) * 10
+        np.testing.assert_allclose(np.exp(log_softmax(Tensor(x)).data),
+                                   softmax_rows(Tensor(x)).data, rtol=1e-12)
+
+    def test_log_softmax_nonfinite_rejected(self):
+        with pytest.raises(ContractError):
+            log_softmax(Tensor([[np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("op", [
+        lambda x, c: layernorm(x, Tensor(np.ones(c)), Tensor(np.zeros(c))),
+        lambda x, c: softmax_rows(x),
+        lambda x, c: log_softmax(x)], ids=["layernorm", "softmax_rows", "log_softmax"])
+    def test_one_node_each(self, op, monkeypatch):
+        made = []
+        from_op = Tensor._from_op
+
+        def counted(data, parents, backward):
+            made.append(data)
+            return from_op(data, parents, backward)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
+        x = Tensor(np.random.default_rng(3).standard_normal((2, 3, 4)),
+                   requires_grad=True)
+        op(x, 4)
+        assert len(made) == 1
 
 
 class TestGlue:

@@ -172,6 +172,15 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(TINY, tc, ds)
 
+    @pytest.mark.parametrize("labels, size", [((0, 1, 2, 1), 16), ((0, 1, 0, 1), 8)])
+    def test_eval_set_checked_before_training(self, labels, size):
+        # a label beyond the model's classes or a wrong image size in the
+        # evaluation set is a config error up front, not a blow-up after an epoch
+        ev = Dataset(np.zeros((4, 3, size, size)), np.array(labels))
+        tc = TrainConfig(epochs=1, batch_size=8)
+        with pytest.raises(ConfigError, match="evaluation"):
+            train(TINY, tc, balanced_eight(), eval_dataset=ev)
+
     def test_writes_checkpoint_and_metrics(self, tmp_path):
         ds = balanced_eight()
         tc = TrainConfig(epochs=1, batch_size=8, base_lr=0.01, min_lr=0.001)
