@@ -62,7 +62,7 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
             raise TypeError("'tensors' must map names to objects")
     except Exception as e:
         raise LoadError(f"{path}: malformed header: {e}") from e
-    payload = blob[16 + hlen:]
+    base = 16 + hlen
     params = {}
     for name, meta in tensors.items():
         dtype = meta.get("dtype")
@@ -74,11 +74,11 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
                 and _is_size(start)):
             raise LoadError(f"{path}: tensor {name} has bad shape {shape!r} "
                             f"or offset {start!r}")
-        end = start + math.prod(shape) * _F64.itemsize
-        if end > len(payload):
+        count = math.prod(shape)
+        if base + start + count * _F64.itemsize > len(blob):
             raise LoadError(f"{path}: tensor {name} payload out of range")
-        data = np.frombuffer(payload[start:end], dtype=_F64).reshape(shape)
-        params[name] = Tensor(data.astype(np.float64), requires_grad=True)
+        data = np.frombuffer(blob, _F64, count, base + start).reshape(shape)
+        params[name] = Tensor(data.copy(), requires_grad=True)
     try:
         check_param_shapes(params, config)
     except Exception as e:

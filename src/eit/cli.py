@@ -137,46 +137,47 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _probe_batch(images, params, config, bins: int, query: int):
+    """Per layer: one batch's summed head distances and spectrum shares, and
+    its first image's attention map. Frees the batch's activations."""
+    _, layer_probes = forward(images, params, config, collect_probes=True)
+    recs = [probes.ProbeRecord(p["layer"], p["attention"], p["input"],
+                               config.token_grid(), config.pixel_spacing())
+            for p in layer_probes]
+    return (np.stack([probes.attention_distance(r).sum(axis=0) for r in recs]),
+            np.stack([probes.frequency_share(r, bins).sum(axis=0) for r in recs]),
+            np.stack([probes.attention_map(r, query)[0][0] for r in recs]))
+
+
 def cmd_probe(args) -> int:
-    if args.batch_size < 1:
-        raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be positive, got {args.bins}")
+    for flag in ("batch_size", "bins", "samples"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be positive, "
+                              f"got {getattr(args, flag)}")
     params, config = checkpoint.load(args.checkpoint)
     params = {name: p.detach() for name, p in params.items()}
-    dataset = load_dataset(args.data)
-    m = min(args.samples, len(dataset))
+    images = load_dataset(args.data).images[:args.samples]
+    m = len(images)
     h0, w0 = config.token_grid()
-    spacing = config.pixel_spacing()
+    query = 1 + (h0 // 2) * w0 + w0 // 2  # center patch token
 
-    per_layer_records: dict[int, list[probes.ProbeRecord]] = \
-        {i: [] for i in range(config.layers)}
-    for lo in range(0, m, args.batch_size):
-        images = dataset.images[lo:lo + args.batch_size]
-        _, layer_probes = forward(images, params, config, collect_probes=True)
-        for rec in layer_probes:
-            for j in range(len(images)):
-                per_layer_records[rec["layer"]].append(probes.ProbeRecord(
-                    rec["layer"], rec["attention"][j], rec["input"][j],
-                    (h0, w0), spacing))
-
-    distances = {i: probes.mean_distances(recs)
-                 for i, recs in per_layer_records.items()}
+    batches = (_probe_batch(images[lo:lo + args.batch_size], params, config,
+                            args.bins, query)
+               for lo in range(0, m, args.batch_size))
+    dist_sum, spec_sum, maps = next(batches)
+    for dist, spec, _ in batches:
+        dist_sum += dist
+        spec_sum += spec
+    distances = dict(enumerate(dist_sum / m))
     diversity = {i: probes.head_diversity(d) for i, d in distances.items()}
-    spectrum = {i: np.mean([probes.frequency_share(r, args.bins)
-                            for r in recs], axis=0)
-                for i, recs in per_layer_records.items()}
 
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(os.path.join(args.out, "maps"), exist_ok=True)
     probes.write_distances_csv(os.path.join(args.out, "distances.csv"), distances)
     probes.write_diversity_csv(os.path.join(args.out, "diversity.csv"), diversity)
-    probes.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"), spectrum)
-    maps_dir = os.path.join(args.out, "maps")
-    os.makedirs(maps_dir, exist_ok=True)
-    query = 1 + (h0 // 2) * w0 + w0 // 2  # center patch token
-    for i, recs in per_layer_records.items():
-        amap, _ = probes.attention_map(recs[0], query)
-        probes.write_pgm(os.path.join(maps_dir, f"layer_{i}.pgm"), amap)
+    probes.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"),
+                              dict(enumerate(spec_sum / m)))
+    for i, amap in enumerate(maps):
+        probes.write_pgm(os.path.join(args.out, "maps", f"layer_{i}.pgm"), amap)
     _write_manifest(args.out, "probe",
                     {"config": config_to_dict(config), "seed": None,
                      "checkpoint": args.checkpoint, "samples": m,

@@ -33,14 +33,33 @@ BRANCH_STYLES = tuple(BRANCH_STEPS)
 POS_EMBED_MODES = ("none", "trainable")
 
 
-def _require_ints(config) -> None:
-    """Reject a float or bool (e.g. a JSON 8.0) in an int field or image entry."""
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+# Annotation -> (accepts a value, what the error message asks for).
+_FIELD_TYPES = {
+    "int": (_is_int, "integer"),
+    "tuple[int, int, int]": (
+        lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
+              "a number"),
+    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+}
+
+
+def check_field_types(config) -> None:
+    """Reject a value of the wrong JSON type in a config field: an int field
+    (and each image entry) takes no float or bool (e.g. 8.0), a float field
+    no string or bool, a bool field only true or false."""
     for f in fields(config):
+        if f.type not in _FIELD_TYPES:
+            continue
+        accepts, wanted = _FIELD_TYPES[f.type]
         value = getattr(config, f.name)
-        for v in {"int": (value,), "tuple[int, int, int]": value}.get(f.type, ()):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(f"{type(config).__name__}.{f.name} must be "
-                                  f"integer, got {value!r}")
+        if not accepts(value):
+            raise ConfigError(f"{type(config).__name__}.{f.name} must be "
+                              f"{wanted}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +71,7 @@ class PatchStage:
     padding: int = 0
     pool: int = 1
 
-    __post_init__ = _require_ints
+    __post_init__ = check_field_types
 
 
 @dataclass(frozen=True)
@@ -61,7 +80,7 @@ class ConvBranch:
     stride: int = 1
     branch_style: str = "conv"
 
-    __post_init__ = _require_ints
+    __post_init__ = check_field_types
 
 
 @dataclass(frozen=True)
@@ -79,7 +98,7 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        _require_ints(self)
+        check_field_types(self)
         if self.channels < 1 or self.layers < 1 or self.heads < 1 or self.classes < 1:
             raise ConfigError("channels/layers/heads/classes must be positive")
         if self.channels % self.heads:
@@ -134,7 +153,9 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ModelConfig:
     """Build a ModelConfig from a JSON document; unknown keys are rejected."""
-    def pick(src, known, required):
+    def pick(src, known, required, where):
+        if not isinstance(src, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {src!r}")
         unknown = set(src) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -144,11 +165,15 @@ def config_from_dict(doc: dict) -> ModelConfig:
 
     top = ("channels", "layers", "heads", "classes", "image", "eitp", "eitt",
            "mlp_ratio", "split_policy", "pos_embed", "dropout")
-    pick(doc, top, ("channels", "layers", "heads", "classes", "image", "eitp"))
+    pick(doc, top, ("channels", "layers", "heads", "classes", "image", "eitp"),
+         "config")
     eitp = doc["eitp"]
-    pick(eitp, ("kernel", "stride", "padding", "pool"), ("kernel", "stride"))
+    pick(eitp, ("kernel", "stride", "padding", "pool"), ("kernel", "stride"),
+         "eitp")
     eitt = doc.get("eitt", {})
-    pick(eitt, ("kernel", "stride", "branch_style"), ())
+    pick(eitt, ("kernel", "stride", "branch_style"), (), "eitt")
+    if not isinstance(doc["image"], (list, tuple)):
+        raise ConfigError(f"image must be a list [H, W, 3], got {doc['image']!r}")
     kwargs = {k: doc[k] for k in ("channels", "layers", "heads", "classes",
                                   "mlp_ratio", "split_policy", "pos_embed",
                                   "dropout") if k in doc}
@@ -241,7 +266,7 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
     ratio = config.mlp_ratio
     sched = schedule_for(config)
     out = [("eitp.weight", (c, 3, k, k), "patch_embed", "conv"),
-           ("eitp.bias", (c,), "patch_embed", "conv_bias")]
+           ("eitp.bias", (c,), "patch_embed", "zeros")]
     out.append(("cls_token", (1, 1, c), "embeddings", "token"))
     if config.pos_embed == "trainable":
         out.append(("pos_embed", (1, config.token_count(), c), "embeddings", "token"))
@@ -259,7 +284,7 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
             if step.startswith("conv"):
                 out += [(f"{p}.{step}.weight", (ct, ct // groups, kt, kt),
                          "conv_branch", "conv"),
-                        (f"{p}.{step}.bias", (ct,), "conv_branch", "conv_bias")]
+                        (f"{p}.{step}.bias", (ct,), "conv_branch", "zeros")]
             elif step == "fc":
                 out += [(f"{p}.fc.weight", (ct, ct), "conv_branch", "proj"),
                         (f"{p}.fc.bias", (ct,), "conv_branch", "zeros")]
@@ -311,8 +336,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
             fan_in = int(np.prod(shape[1:]))
             bound = 1.0 / np.sqrt(fan_in)
             data = rng.uniform(-bound, bound, shape)
-        elif kind == "conv_bias":
-            data = np.zeros(shape)
         elif kind == "ones":
             data = np.ones(shape)
         else:

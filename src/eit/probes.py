@@ -15,8 +15,8 @@ DEFAULT_BINS = 10
 
 @dataclass
 class ProbeRecord:
-    """One layer of one image: attention weights (heads, T, T), the layer
-    input (T, C), the token grid and the pixel spacing of one grid step."""
+    """One layer of one image or a batch: attention weights (..., heads, T, T),
+    layer input (..., T, C), the token grid and pixels per grid step."""
     layer: int
     attention: np.ndarray
     layer_input: np.ndarray
@@ -26,12 +26,10 @@ class ProbeRecord:
     def __post_init__(self):
         h, w = self.grid
         t = 1 + h * w
-        if self.attention.ndim != 3 or self.attention.shape[1:] != (t, t):
-            raise ContractError(
-                f"attention {self.attention.shape} does not match grid {self.grid}")
-        if self.layer_input.shape[0] != t:
-            raise ContractError(
-                f"layer input {self.layer_input.shape} does not match grid {self.grid}")
+        a, x = self.attention.shape, self.layer_input.shape
+        if len(a) < 3 or a[-2:] != (t, t) or x[:-1] != a[:-3] + (t,):
+            raise ContractError(f"attention {a} and layer input {x} do not "
+                                f"match grid {self.grid}")
         rows = self.attention.sum(axis=-1)
         if not np.allclose(rows, 1.0, atol=1e-6):
             raise ContractError("attention rows must sum to 1")
@@ -47,18 +45,18 @@ def grid_distances(grid: tuple[int, int], spacing: float) -> np.ndarray:
 
 
 def attention_distance(rec: ProbeRecord) -> np.ndarray:
-    """Per-head attention-weighted mean pixel distance, averaged over all
+    """Per-head (..., heads) attention-weighted mean pixel distance over all
     patch-token queries. The class token carries no grid position, so it is
     dropped as query and key and each row is renormalized over patch keys."""
     h, w = rec.grid
     if h * w < 2:
         raise DiagnosticError(f"grid {rec.grid} too small for distances")
-    a = rec.attention[:, 1:, 1:]
+    a = rec.attention[..., 1:, 1:]
     mass = a.sum(axis=-1, keepdims=True)
     if np.any(mass <= 0):
         raise DiagnosticError("a query puts no attention mass on patch tokens")
     d = grid_distances(rec.grid, rec.pixel_spacing)
-    return ((a / mass) * d[None]).sum(axis=-1).mean(axis=-1)
+    return ((a / mass) * d).sum(axis=-1).mean(axis=-1)
 
 
 def head_diversity(distances: np.ndarray) -> float:
@@ -97,34 +95,33 @@ def radial_bin_index(grid: tuple[int, int], bins: int) -> np.ndarray:
 
 def frequency_share(rec: ProbeRecord, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Histogram of spectral magnitude over normalized radial frequency
-    [0, pi]. Per channel the patch tokens (class token excluded) are
-    reshaped to the grid and transformed; magnitudes are summed over
-    channels and normalized by the total mass."""
+    [0, pi]: shape (..., bins). Per channel the patch tokens (class token
+    excluded) are reshaped to the grid and transformed; magnitudes are
+    summed over channels and normalized by the total mass."""
     if bins < 1:
         raise DiagnosticError(f"frequency share needs at least one bin, got {bins}")
     h, w = rec.grid
-    patches = rec.layer_input[1:]
-    if patches.shape[0] != h * w:
-        raise ContractError(f"{patches.shape[0]} patch tokens do not reshape "
-                            f"to grid {rec.grid}")
-    mag = np.abs(dft2(patches.T.reshape(-1, h, w))).sum(axis=0)
-    total = mag.sum()
-    shares = np.zeros(bins)
-    if total > 0:
-        np.add.at(shares, radial_bin_index(rec.grid, bins).ravel(), mag.ravel())
-        shares /= total
-    return shares
+    patches = rec.layer_input[..., 1:, :]
+    grids = np.swapaxes(patches, -1, -2).reshape(*patches.shape[:-2], -1, h, w)
+    mag = np.abs(dft2(grids)).sum(axis=-3).reshape(-1, h * w)
+    # one bincount over (image, bin) pairs, summed in coefficient order
+    idx = radial_bin_index(rec.grid, bins).ravel() + bins * np.arange(len(mag))[:, None]
+    hist = np.bincount(idx.ravel(), mag.ravel(), len(mag) * bins).reshape(-1, bins)
+    total = mag.sum(axis=-1, keepdims=True)
+    shares = np.divide(hist, total, out=np.zeros_like(hist), where=total > 0)
+    return shares.reshape(*patches.shape[:-2], bins)
 
 
-def attention_map(rec: ProbeRecord, query: int) -> tuple[np.ndarray, float]:
+def attention_map(rec: ProbeRecord, query: int
+                  ) -> tuple[np.ndarray, float | np.ndarray]:
     """Head-averaged attention row of a patch-token query, reshaped to the
-    grid. Returns (map, class_token_mass); map sum + class mass == 1."""
+    grid (..., h, w). Returns (map, class_token_mass); their sum is 1."""
     h, w = rec.grid
     t = 1 + h * w
     if not 1 <= query < t:
         raise ContractError(f"query {query} is not a patch token (1..{t - 1})")
-    row = rec.attention[:, query, :].mean(axis=0)
-    return row[1:].reshape(h, w), float(row[0])
+    row = rec.attention[..., query, :].mean(axis=-2)
+    return row[..., 1:].reshape(*row.shape[:-1], h, w), row.take(0, axis=-1)
 
 
 # -- batch aggregation and file output -------------------------------------

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import ModelConfig, Tensor, forward, init_params
+from .model import ModelConfig, Tensor, check_field_types, forward, \
+    init_params
 from .tensor import log_softmax
 from . import checkpoint
 
@@ -38,6 +39,7 @@ class TrainConfig:
     hflip: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.min_lr <= self.base_lr:
             raise ConfigError(f"need 0 < min_lr <= base_lr, got "
                               f"{self.min_lr} / {self.base_lr}")

@@ -41,6 +41,12 @@ class TestRoundtrip:
         # buffers must be writable copies, not views of the file blob
         next(iter(back.values())).data[...] = 0.0
 
+    def test_every_loaded_tensor_is_writable(self, tmp_path):
+        # gradcheck perturbs p.data in place, tensor by tensor
+        _, (back, _) = roundtrip(tmp_path)
+        for name, t in back.items():
+            assert t.data.flags.writeable and t.data.flags.owndata, name
+
 
 class TestValidation:
     def test_bad_magic(self, tmp_path):

@@ -128,6 +128,36 @@ class TestPipeline:
         rows = (probe / "distances.csv").read_text().splitlines()
         assert len(rows) == 1 + TINY_CFG["layers"] * TINY_CFG["heads"]
 
+    def test_probe_batch_size_does_not_change_output(self, tmp_path):
+        from eit import checkpoint
+        from eit.model import config_from_dict, init_params
+        cfg = config_from_dict(MICRO_CFG)
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save(ckpt, init_params(cfg, 1), cfg)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--n", "12",
+                     "--size", "8", "--seed", "2"]) == 0
+        outs = {}
+        # 11 of 12 images: batches of 5 end unevenly and must not read past
+        # the sample count
+        for bs in ("1", "5", "16"):
+            outs[bs] = tmp_path / f"probe-{bs}"
+            assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(outs[bs]), "--samples", "11",
+                         "--batch-size", bs]) == 0
+
+        def values(out, name):
+            rows = (out / name).read_text().splitlines()[1:]
+            return np.array([float(r.split(",")[-1]) for r in rows])
+
+        for bs in ("5", "16"):
+            for name in ("distances.csv", "diversity.csv", "spectrum.csv"):
+                np.testing.assert_allclose(values(outs[bs], name),
+                                           values(outs["1"], name), rtol=1e-12)
+            for i in range(MICRO_CFG["layers"]):
+                pgm = f"maps/layer_{i}.pgm"
+                assert (outs[bs] / pgm).read_bytes() == (outs["1"] / pgm).read_bytes()
+
     def test_train_rerun_bit_identical(self, tiny_cfg, train_cfg, tmp_path):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--n", "8", "--size", "16"])
@@ -178,7 +208,7 @@ class TestExitCodes:
                      "--size", "8"]) == 0
         return ckpt, data
 
-    @pytest.mark.parametrize("flag", ["--batch-size", "--bins"])
+    @pytest.mark.parametrize("flag", ["--batch-size", "--bins", "--samples"])
     def test_probe_non_positive_count_exits_1(self, micro_run, flag, tmp_path,
                                               capsys):
         ckpt, data = micro_run

@@ -42,6 +42,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="integer"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("image", 5), ("image", "8x8"), ("eitp", 5), ("eitt", [3]),
+        ("eitt", "conv"), ("dropout", "0.1"), ("dropout", True)])
+    def test_malformed_structure_rejected(self, field, value):
+        doc = dict(config_to_dict(MICRO), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(doc)
+
     def test_json_roundtrip_and_unknown_keys(self):
         doc = config_to_dict(MICRO)
         assert config_from_dict(doc) == MICRO

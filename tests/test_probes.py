@@ -30,6 +30,23 @@ class TestProbeRecord:
         with pytest.raises(ContractError):
             make_record(random_row_stochastic(np.random.default_rng(0), 1, 4))
 
+    def test_batch_leading_shapes_must_agree(self):
+        a = random_row_stochastic(np.random.default_rng(0), 3 * 2, 5)
+        with pytest.raises(ContractError):
+            make_record(a.reshape(3, 2, 5, 5), np.zeros((2, 5, 4)))
+        with pytest.raises(ContractError):
+            make_record(a.reshape(3, 2, 5, 5), np.zeros((5, 4)))
+
+
+def batch_and_images(seed, n=3, heads=2, grid=(3, 3), channels=4):
+    """A batch record of n images and the n per-image records it holds."""
+    rng = np.random.default_rng(seed)
+    t = 1 + grid[0] * grid[1]
+    a = random_row_stochastic(rng, n * heads, t).reshape(n, heads, t, t)
+    x = rng.standard_normal((n, t, channels))
+    return (make_record(a, x, grid, spacing=1.5),
+            [make_record(a[j], x[j], grid, spacing=1.5) for j in range(n)])
+
 
 class TestAttentionDistance:
     def test_identity_attention_zero_distance(self):
@@ -90,6 +107,12 @@ class TestAttentionDistance:
         a = np.ones((1, 2, 2)) / 2
         with pytest.raises(DiagnosticError):
             attention_distance(make_record(a, np.zeros((2, 1)), (1, 1)))
+
+    def test_batch_equals_stacked_images(self):
+        batch, images = batch_and_images(8)
+        np.testing.assert_allclose(
+            attention_distance(batch),
+            np.stack([attention_distance(r) for r in images]), rtol=1e-15)
 
     def test_mean_distances_averages_images(self):
         rng = np.random.default_rng(2)
@@ -185,6 +208,14 @@ class TestFrequencyShare:
                 np.testing.assert_allclose(spec[i, j], dft2_loops(stack[i, j]),
                                            atol=1e-9)
 
+    def test_batch_equals_stacked_images(self):
+        batch, images = batch_and_images(9)
+        shares = frequency_share(batch, 7)
+        assert shares.shape == (3, 7)
+        np.testing.assert_allclose(
+            shares, np.stack([frequency_share(r, 7) for r in images]),
+            rtol=1e-15)
+
     @pytest.mark.parametrize("bins", [0, -1])
     def test_no_bins_rejected(self, bins):
         rec = make_record(random_row_stochastic(np.random.default_rng(7), 1, 5))
@@ -221,6 +252,14 @@ class TestAttentionMap:
         amap, cls_mass = attention_map(rec, query=5)
         assert amap.sum() + cls_mass == pytest.approx(1.0, abs=1e-9)
         assert (amap >= 0).all()
+
+    def test_batch_equals_stacked_images(self):
+        batch, images = batch_and_images(10)
+        amaps, cls_mass = attention_map(batch, query=5)
+        for j, rec in enumerate(images):
+            amap, mass = attention_map(rec, query=5)
+            np.testing.assert_array_equal(amaps[j], amap)
+            assert cls_mass[j] == mass
 
     def test_class_token_query_rejected(self):
         rec = make_record(random_row_stochastic(np.random.default_rng(0), 1, 5))

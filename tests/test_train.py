@@ -121,6 +121,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(schedule="step")
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.0), ("batch_size", 2.0), ("seed", 1.5), ("epochs", True),
+        ("base_lr", "x"), ("momentum", "0.9"), ("hflip", "yes")])
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"TrainConfig.{field} must be"):
+            train_config_from_dict({field: value})
+
+    def test_integers_accepted_in_float_fields(self):
+        cfg = train_config_from_dict({"base_lr": 1, "min_lr": 1, "momentum": 0})
+        assert (cfg.base_lr, cfg.momentum) == (1, 0)
+
 
 class TestTrainLoop:
     def test_overfits_eight_samples_within_200_steps(self):
