@@ -8,7 +8,9 @@ manifest.json echoing the resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import sys
@@ -27,10 +29,23 @@ GRADCHECK_PARAM_LIMIT = 50_000
 GRADCHECK_TOL = 1e-4
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS bundled with numpy's wheels, or None when
+    numpy was built against another BLAS or lays its libraries out otherwise."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            get = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
+
+
 def _write_manifest(out_dir, command: str, payload: dict):
     os.makedirs(out_dir, exist_ok=True)
-    doc = {"command": command,
-           "threads": int(os.environ.get("EIT_THREADS", "1")), **payload}
+    doc = {"command": command, "threads": _blas_threads(), **payload}
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
@@ -156,7 +171,7 @@ def cmd_probe(args) -> int:
                               f"got {getattr(args, flag)}")
     params, config = checkpoint.load(args.checkpoint)
     params = {name: p.detach() for name, p in params.items()}
-    images = load_dataset(args.data).images[:args.samples]
+    images = load_dataset(args.data, limit=args.samples).images
     m = len(images)
     h0, w0 = config.token_grid()
     query = 1 + (h0 // 2) * w0 + w0 // 2  # center patch token

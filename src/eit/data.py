@@ -4,6 +4,7 @@ directory format (labels.csv + planar u8 .raw files + dataset.json)."""
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -86,7 +87,9 @@ def save_dataset(dataset: Dataset, path):
                 rf.write(raw.tobytes())
 
 
-def load_dataset(path, split: str = "train") -> Dataset:
+def load_dataset(path, split: str = "train", limit: int | None = None) -> Dataset:
+    """Read the first ``limit`` rows of ``labels.csv`` (all when None) and the
+    image files they name, which must lie inside the dataset directory."""
     sidecar = os.path.join(path, "dataset.json")
     labels_file = os.path.join(path, "labels.csv")
     try:
@@ -99,7 +102,7 @@ def load_dataset(path, split: str = "train") -> Dataset:
         raise LoadError(f"{sidecar}: image size {h}x{w} is not positive")
     try:
         with open(labels_file, newline="") as f:
-            rows = [r for r in csv.DictReader(f)]
+            rows = list(itertools.islice(csv.DictReader(f), limit))
     except OSError as e:
         raise LoadError(f"cannot read {labels_file}: {e}") from e
     if not rows:
@@ -107,11 +110,15 @@ def load_dataset(path, split: str = "train") -> Dataset:
     images = np.empty((len(rows), 3, h, w))
     labels = np.empty(len(rows), dtype=np.int64)
     expected = 3 * h * w
+    root = os.path.realpath(path)
     for i, row in enumerate(rows):
         name = row.get("filename")
         if name is None or row.get("label") is None:
             raise LoadError(f"{labels_file}: row {i + 1} missing filename/label")
-        fpath = os.path.join(path, name)
+        fpath = os.path.realpath(os.path.join(root, name))
+        if os.path.isabs(name) or os.path.commonpath([root, fpath]) != root:
+            raise LoadError(f"{labels_file} row {i + 1}: {name!r} is not a path "
+                            f"inside the dataset directory")
         try:
             raw = np.fromfile(fpath, dtype=np.uint8)
             labels[i] = int(row["label"])

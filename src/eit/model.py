@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import (ConvSpec, Tensor, concat, conv2d, dropout, layernorm,
-                     matmul, maxpool2d, normalize, softmax_rows)
+                     linear, matmul, maxpool2d, normalize, softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
@@ -384,13 +384,13 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     if cm == 0 or cm % heads:
         raise ConfigError(f"attention width {cm} not divisible by {heads} heads")
     d = cm // heads
-    qkv = matmul(x, qkv_w) + qkv_b
+    qkv = linear(x, qkv_w, qkv_b)
     q = qkv[:, :, :cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
     k = qkv[:, :, cm:2 * cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
     v = qkv[:, :, 2 * cm:].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
     a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d)))
     o = matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm)
-    return matmul(o, out_w) + out_b, a.data
+    return linear(o, out_w, out_b), a.data
 
 
 def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor,
@@ -423,7 +423,7 @@ def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
             y = _grid_conv(y, params[f"{prefix}.{step}.weight"],
                            params[f"{prefix}.{step}.bias"], spec, grid)
         elif step == "fc":
-            y = matmul(y, params[f"{prefix}.fc.weight"]) + params[f"{prefix}.fc.bias"]
+            y = linear(y, params[f"{prefix}.fc.weight"], params[f"{prefix}.fc.bias"])
         elif step == "bn":
             y = normalize(y, (0, 1), params[f"{prefix}.bn.gain"],
                           params[f"{prefix}.bn.shift"], 1e-5)
@@ -458,10 +458,10 @@ def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
         mix = concat([conv_out, attn_out], axis=2)
     y = x + mix
     n2 = layernorm(y, params[f"{p}.norm2.gain"], params[f"{p}.norm2.shift"])
-    hdn = (matmul(n2, params[f"{p}.mlp.fc1.weight"]) + params[f"{p}.mlp.fc1.bias"]).gelu()
+    hdn = linear(n2, params[f"{p}.mlp.fc1.weight"], params[f"{p}.mlp.fc1.bias"]).gelu()
     if train and config.dropout > 0:
         hdn = dropout(hdn, config.dropout, rng)
-    out = matmul(hdn, params[f"{p}.mlp.fc2.weight"]) + params[f"{p}.mlp.fc2.bias"]
+    out = linear(hdn, params[f"{p}.mlp.fc2.weight"], params[f"{p}.mlp.fc2.bias"])
     if train and config.dropout > 0:
         out = dropout(out, config.dropout, rng)
     return y + out, attn
@@ -486,7 +486,7 @@ def forward(images, params: dict[str, Tensor], config: ModelConfig,
         if collect_probes:
             probes.append({"layer": i, "input": layer_input, "attention": attn})
     x = layernorm(x, params["norm.gain"], params["norm.shift"])
-    logits = matmul(x[:, 0, :], params["head.weight"]) + params["head.bias"]
+    logits = linear(x[:, 0, :], params["head.weight"], params["head.bias"])
     if collect_probes:
         return logits, probes
     return logits

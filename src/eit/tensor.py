@@ -5,7 +5,8 @@ to it so that ``backward()`` can replay the graph in reverse topological
 order. An op's backward returns one gradient per parent; ``backward()``
 sums them over broadcast axes, accumulates them, keeps ``.grad`` only on
 leaves and releases the graph, so a graph is replayed once. Only the
-kernels the model actually needs are implemented: matmul,
+kernels the model actually needs are implemented: matmul, linear
+(``x @ W + b`` as one node over flattened rows),
 standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
 channel concatenation, plus add, negate, multiply, power, sum and mean.
@@ -57,6 +58,19 @@ class ConvSpec:
         oh = (h + 2 * self.padding - self.kernel_h) // self.stride + 1
         ow = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
         return oh, ow
+
+
+def _scatter_into_zeros(like: np.ndarray, key, g: np.ndarray,
+                        unique: bool) -> np.ndarray:
+    """Zeros shaped like ``like`` with g added at ``key``. When ``key`` selects
+    no element twice, an assignment does what ``np.add.at`` does, without its
+    slow loop; the + 0.0 turns a -0.0 into +0.0, as adding into zeros does."""
+    gx = np.zeros_like(like)
+    if unique:
+        gx[key] = g + 0.0
+    else:
+        np.add.at(gx, key, g)
+    return gx
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -190,11 +204,14 @@ class Tensor:
                                lambda g: (g.transpose(inv),))
 
     def __getitem__(self, key):
-        def back(g):
-            gx = np.zeros_like(self.data)
-            np.add.at(gx, key, g)
-            return (gx,)
-        return Tensor._from_op(self.data[key], (self,), back)
+        # Slices and ints pick each element at most once; an advanced index
+        # (e.g. cross_entropy's [rows, labels]) may repeat one.
+        basic = all(isinstance(k, slice) or
+                    (isinstance(k, int) and not isinstance(k, bool))
+                    for k in (key if isinstance(key, tuple) else (key,)))
+        return Tensor._from_op(
+            self.data[key], (self,),
+            lambda g: (_scatter_into_zeros(self.data, key, g, basic),))
 
     def sum(self, axis=None, keepdims: bool = False):
         def back(g):
@@ -218,11 +235,20 @@ class Tensor:
     def gelu(self):
         """Exact Gaussian-CDF GELU: x * Phi(x)."""
         x = self.data
-        phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        phi = x * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), in place
+        erf(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
 
-        def back(g):
-            dens = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            return (g * (phi + x * dens),)
+        def back(g):  # g * (phi + x * density(x)), in place
+            d = x * -0.5
+            d *= x
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= x
+            d += phi
+            d *= g
+            return (d,)
         return Tensor._from_op(x * phi, (self,), back)
 
 
@@ -242,6 +268,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(
         a.data @ b.data, (a, b),
         lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias over the trailing axis of x, weight (C_in, C_out).
+    One node: the leading axes are flattened so the product and both
+    gradients are single 2-D GEMMs, and the weight gradient needs no
+    per-batch stack to sum."""
+    cin, cout = weight.shape
+    if x.shape[-1] != cin or bias.shape != (cout,):
+        raise ContractError(f"linear: {x.shape} @ {weight.shape} + {bias.shape}")
+    x2 = x.data.reshape(-1, cin)
+    out = x2 @ weight.data
+    out += bias.data
+
+    def back(g):
+        g2 = g.reshape(-1, cout)
+        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, g2.sum(axis=0)
+    return Tensor._from_op(out.reshape(*x.shape[:-1], cout), (x, weight, bias),
+                           back)
 
 
 def _row_shifted(x: Tensor, op: str) -> np.ndarray:
@@ -371,9 +417,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         idx[i] = win.reshape(c, oh, ow, -1).argmax(axis=-1)
     ni, ci, pi, qi = np.ogrid[:n, :c, :oh, :ow]
     at = (ni, ci, pi * stride + idx // window, qi * stride + idx % window)
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, at, g)
-        return (gx,)
-    return Tensor._from_op(x.data[at], (x,), back)
+    disjoint = stride >= window  # then no input element is in two windows
+    return Tensor._from_op(
+        x.data[at], (x,),
+        lambda g: (_scatter_into_zeros(x.data, at, g, disjoint),))

@@ -49,6 +49,12 @@ class TestDescribe:
         assert manifest["command"] == "describe"
         assert "threads" in manifest
 
+    def test_manifest_records_blas_threads(self, micro_cfg, tmp_path):
+        out = tmp_path / "out"
+        main(["describe", "--config", micro_cfg, "--out", str(out)])
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads is None or (type(threads) is int and threads > 0)
+
     def test_image_override_changes_tokens(self, micro_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         main(["describe", "--config", micro_cfg, "--image", "16x16",
@@ -215,6 +221,18 @@ class TestExitCodes:
         assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
                      "--out", str(tmp_path / "probe"), flag, "0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_probe_reads_only_the_samples_it_probes(self, micro_run, tmp_path,
+                                                    capsys):
+        ckpt, data = micro_run
+        (data / "img_00003.raw").write_bytes(b"\x00" * 10)
+        argv = ["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                "--out", str(tmp_path / "probe")]
+        assert main(argv + ["--samples", "3"]) == 0
+        manifest = json.loads((tmp_path / "probe" / "manifest.json").read_text())
+        assert manifest["samples"] == 3
+        assert main(argv + ["--samples", "4"]) == 1
+        assert "img_00003" in capsys.readouterr().err
 
     def test_probe_missing_data_dir_exits_1(self, micro_run, tmp_path, capsys):
         ckpt, _ = micro_run

@@ -85,6 +85,20 @@ class TestRawFormat:
         with pytest.raises(LoadError, match="row 2.*'x'"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("name", ["absolute", "../x.raw"])
+    def test_filename_outside_the_dataset(self, name, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(2, 8, seed=0), d)
+        outside = tmp_path / "x.raw"  # a well-formed image, just not in d
+        outside.write_bytes((d / "img_00000.raw").read_bytes())
+        if name == "absolute":
+            name = str(outside)
+        with open(d / "labels.csv", "w", newline="") as f:
+            csv.writer(f).writerows([["filename", "label"],
+                                     ["img_00000.raw", 0], [name, 1]])
+        with pytest.raises(LoadError, match="row 2.*inside the dataset"):
+            load_dataset(d)
+
     def test_negative_height(self, tmp_path):
         d = tmp_path / "d"
         save_dataset(generate_synthetic(1, 8, seed=0), d)

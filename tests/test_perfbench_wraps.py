@@ -3,6 +3,8 @@ or deleting one of them must fail here, not only in a traced benchmark run."""
 
 import os
 
+import numpy as np
+
 import eit.checkpoint
 import eit.cli
 import eit.costs
@@ -34,3 +36,24 @@ def test_instrument_wraps_existing_names_and_restores_them(monkeypatch):
     assert wrapped > 0
     for ns, old in zip(NAMESPACES, before):
         assert all(vars(ns)[k] is v for k, v in old.items())
+
+
+def test_micro_training_forward_calls_every_timed_name(monkeypatch):
+    """A kernel or component the model stops calling would read 0 s in the
+    benchmark's per-layer figures instead of failing."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    calls = dict.fromkeys(workloads.KERNELS + workloads.COMPONENTS, 0)
+    for name in calls:
+        fn = getattr(eit.model, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(eit.model, name, counted)
+    cfg = eit.model.config_from_dict(workloads.MICRO)
+    rng = np.random.default_rng(0)
+    eit.model.forward(rng.random((2, 3, 8, 8)), eit.model.init_params(cfg, 0),
+                      cfg, train=True, rng=rng)
+    assert all(calls.values()), calls

@@ -3,10 +3,12 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from eit.errors import ContractError, GeometryError
 from eit.gradcheck import gradcheck
-from eit.tensor import (ConvSpec, Tensor, concat, conv2d, layernorm,
+from eit.model import config_from_dict, forward, init_params
+from eit.tensor import (ConvSpec, Tensor, concat, conv2d, layernorm, linear,
                         log_softmax, matmul, maxpool2d, normalize, softmax_rows)
 from eit.train import cross_entropy
 
@@ -310,7 +312,10 @@ class TestFusedNodes:
     @pytest.mark.parametrize("op", [
         lambda x, c: layernorm(x, Tensor(np.ones(c)), Tensor(np.zeros(c))),
         lambda x, c: softmax_rows(x),
-        lambda x, c: log_softmax(x)], ids=["layernorm", "softmax_rows", "log_softmax"])
+        lambda x, c: log_softmax(x),
+        lambda x, c: linear(x, Tensor(np.ones((c, 5)), requires_grad=True),
+                            Tensor(np.zeros(5), requires_grad=True))],
+        ids=["layernorm", "softmax_rows", "log_softmax", "linear"])
     def test_one_node_each(self, op, monkeypatch):
         made = []
         from_op = Tensor._from_op
@@ -323,6 +328,133 @@ class TestFusedNodes:
                    requires_grad=True)
         op(x, 4)
         assert len(made) == 1
+
+
+class TestLinear:
+    """linear(x, W, b) is one node equal to matmul(x, W) + b; its backward
+    is three 2-D GEMM-shaped reductions over the flattened rows."""
+
+    @pytest.mark.parametrize("xshape", [(3, 4, 5), (6, 5)], ids=["tokens", "head"])
+    def test_gradcheck(self, xshape):
+        rng = np.random.default_rng(0)
+        params = {"x": Tensor(rng.standard_normal(xshape), requires_grad=True),
+                  "weight": Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+                  "bias": Tensor(rng.standard_normal(3), requires_grad=True)}
+        proj = Tensor(rng.standard_normal(xshape[:-1] + (3,)))
+        report = gradcheck(lambda: (linear(params["x"], params["weight"],
+                                           params["bias"]) * proj).sum(), params)
+        assert max(report.values()) <= 1e-7, report
+
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(1)
+        x0, w0, b0 = (rng.standard_normal((4, 9, 12)), rng.standard_normal((12, 7)),
+                      rng.standard_normal(7))
+        proj = Tensor(rng.standard_normal((4, 9, 7)))
+        results = []
+        for op in (lambda x, w, b: linear(x, w, b),
+                   lambda x, w, b: matmul(x, w) + b):
+            x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+            y = op(x, w, b)
+            (y * proj).sum().backward()
+            results.append((y.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_input_gradient_for_a_constant_input(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.standard_normal((2, 3, 4)))
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        out = linear(x, w, b)
+        gx, gw, gb = out._backward(np.ones(out.shape))
+        assert gx is None and gw.shape == (4, 5) and gb.shape == (5,)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ContractError):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                   Tensor(np.zeros(5)))
+        with pytest.raises(ContractError):
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
+                   Tensor(np.zeros(4)))
+
+    def test_small_training_forward_graph_size(self, monkeypatch):
+        cfg = config_from_dict({
+            "channels": 250, "layers": 5, "heads": 10, "classes": 10,
+            "image": [32, 32, 3],
+            "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 4}})
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        images, labels = rng.random((16, 3, 32, 32)), rng.integers(0, 10, 16)
+        made = []
+        from_op = Tensor._from_op
+
+        def counted(data, parents, backward):
+            made.append(data)
+            return from_op(data, parents, backward)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
+        cross_entropy(forward(images, params, cfg, train=True, rng=rng), labels)
+        assert len(made) <= 183
+
+
+class TestGradientScatter:
+    """The backward of an index that picks no element twice assigns into
+    zeros; it must equal np.add.at bit for bit, signed zeros included."""
+
+    def test_basic_slice_matches_add_at_bitwise(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 5, 6)), requires_grad=True)
+        key = (slice(None), slice(1, None, 2), 4)
+        g = rng.standard_normal((3, 2))
+        g[0, 0], g[1, 1] = -0.0, np.nan
+        (gx,) = x[key]._backward(g)
+        want = np.zeros(x.shape)
+        np.add.at(want, key, g)
+        assert gx.tobytes() == want.tobytes()
+
+    def test_advanced_index_with_repeats_accumulates(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        x[np.array([0, 0, 1]), np.array([2, 2, 0])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0, 2], [1, 0, 0]])
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (2, 3), (3, 3)])
+    def test_disjoint_pool_windows_match_add_at_bitwise(self, window, stride):
+        rng = np.random.default_rng(window * 10 + stride)
+        x = rng.integers(-2, 2, (2, 3, 7, 7)).astype(float)  # many ties
+        x[0, 0, :2, :2] = np.nan
+        x[0, 1, :3, :3] = -np.inf
+        x[1, 2, 0, 0] = np.nan
+        t = Tensor(x, requires_grad=True)
+        out = maxpool2d(t, window, stride)
+        g = rng.standard_normal(out.shape)
+        g[0, 0, 0, 0] = -0.0
+        (gx,) = out._backward(g)
+        n, c, oh, ow = out.shape
+        want = np.zeros_like(x)
+        for p in range(oh):
+            for q in range(ow):
+                block = x[:, :, p * stride:p * stride + window,
+                          q * stride:q * stride + window]
+                k = block.reshape(n, c, -1).argmax(axis=-1)
+                for ni in range(n):
+                    for ci in range(c):
+                        dy, dx = divmod(int(k[ni, ci]), window)
+                        np.add.at(want, (ni, ci, p * stride + dy, q * stride + dx),
+                                  g[ni, ci, p, q])
+        assert gx.tobytes() == want.tobytes()
+
+
+class TestGelu:
+    def test_in_place_arithmetic_matches_the_formula_bitwise(self):
+        x = np.random.default_rng(3).standard_normal(1000) * 4
+        x[:4] = [0.0, -0.0, 1e-310, -40.0]
+        g = np.random.default_rng(4).standard_normal(1000)
+        t = Tensor(x, requires_grad=True)
+        y = t.gelu()
+        (gx,) = y._backward(g)
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        dens = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert y.data.tobytes() == (x * phi).tobytes()
+        assert gx.tobytes() == (g * (phi + x * dens)).tobytes()
 
 
 class TestGlue:
