@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import LoadError
 from .model import ModelConfig, Tensor, check_param_shapes, config_from_dict, \
     config_to_dict
@@ -27,22 +28,20 @@ def _is_size(v) -> bool:
 
 
 def save(path, params: dict[str, Tensor], config: ModelConfig):
+    """Write atomically: a save that fails leaves any earlier file intact."""
     tensors = {}
     offset = 0
-    payloads = []
     for name, t in params.items():
-        raw = np.ascontiguousarray(t.data, dtype=_F64)
         tensors[name] = {"shape": list(t.shape), "dtype": "f64", "offset": offset}
-        payloads.append(raw.tobytes())
-        offset += len(payloads[-1])
+        offset += t.data.size * _F64.itemsize
     header = json.dumps({"config": config_to_dict(config),
                          "tensors": tensors}).encode()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        for blob in payloads:
-            f.write(blob)
+        for t in params.values():
+            f.write(np.ascontiguousarray(t.data, dtype=_F64))
 
 
 def load(path) -> tuple[dict[str, Tensor], ModelConfig]:

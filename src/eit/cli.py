@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 validation or contract failure, 2 numerical
 failure (gradcheck fail, training divergence). Every command writes a
-manifest.json echoing the resolved configuration and seed.
+manifest.json echoing the resolved configuration and seed, and recording
+what ran it, its wall time and peak RSS. The manifest and the outputs of
+describe, gradcheck, train and probe are written atomically
+(``atomic.atomic_open``).
 """
 
 from __future__ import annotations
@@ -13,11 +16,16 @@ import dataclasses
 import glob
 import json
 import os
+import platform
+import resource
 import sys
+import time
 
 import numpy as np
+import scipy
 
 from . import checkpoint, costs, probes
+from .atomic import atomic_open
 from .data import generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DivergenceError, EitError
 from .gradcheck import gradcheck, worst_offender
@@ -43,10 +51,25 @@ def _blas_threads() -> int | None:
     return None
 
 
-def _write_manifest(out_dir, command: str, payload: dict):
-    os.makedirs(out_dir, exist_ok=True)
-    doc = {"command": command, "threads": _blas_threads(), **payload}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _write_manifest(args, payload: dict):
+    """manifest.json in args.out: the command, what ran it (interpreter,
+    numpy, scipy, BLAS and its threads), the wall time since ``main``
+    started the command, the process's peak RSS, and the payload."""
+    os.makedirs(args.out, exist_ok=True)
+    doc = {"command": args.command, "python": platform.python_version(),
+           "numpy": np.__version__, "scipy": scipy.__version__,
+           "blas": _blas(), "threads": _blas_threads(),
+           "wall_s": time.perf_counter() - args.started,
+           # ru_maxrss is in KiB on Linux
+           "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           **payload}
+    with atomic_open(os.path.join(args.out, "manifest.json")) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
 
 
@@ -98,10 +121,9 @@ def cmd_describe(args) -> int:
                       "macs": report.total_macs,
                       "flops": report.total_flops}}
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "costs.json"), "w") as f:
+    with atomic_open(os.path.join(args.out, "costs.json")) as f:
         json.dump(doc, f, indent=2)
-    _write_manifest(args.out, "describe", {"config": config_to_dict(config),
-                                           "seed": None})
+    _write_manifest(args, {"config": config_to_dict(config), "seed": None})
     return 0
 
 
@@ -124,12 +146,12 @@ def cmd_gradcheck(args) -> int:
     name, err = worst_offender(report)
     passed = err <= GRADCHECK_TOL
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "gradcheck.json"), "w") as f_:
+    with atomic_open(os.path.join(args.out, "gradcheck.json")) as f_:
         json.dump({"tolerance": GRADCHECK_TOL, "step": args.step,
                    "passed": passed, "worst": {"param": name, "error": err},
                    "max_relative_error": report}, f_, indent=2)
-    _write_manifest(args.out, "gradcheck", {"config": config_to_dict(config),
-                                            "seed": args.seed})
+    _write_manifest(args, {"config": config_to_dict(config),
+                           "seed": args.seed})
     if passed:
         print(f"gradcheck passed: worst {name} rel err {err:.3e} "
               f"(tol {GRADCHECK_TOL:g})")
@@ -143,11 +165,12 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     tconfig = load_train_config(args.train_config)
     dataset = load_dataset(args.data)
-    _write_manifest(args.out, "train",
-                    {"config": config_to_dict(config),
-                     "train_config": dataclasses.asdict(tconfig),
-                     "data": args.data, "seed": tconfig.seed})
-    train(config, tconfig, dataset, out_dir=args.out)
+    try:  # the manifest is written also when training diverges
+        train(config, tconfig, dataset, out_dir=args.out)
+    finally:
+        _write_manifest(args, {"config": config_to_dict(config),
+                               "train_config": dataclasses.asdict(tconfig),
+                               "data": args.data, "seed": tconfig.seed})
     print(f"wrote {os.path.join(args.out, 'model.ckpt')} and metrics.csv")
     return 0
 
@@ -193,10 +216,9 @@ def cmd_probe(args) -> int:
                               dict(enumerate(spec_sum / m)))
     for i, amap in enumerate(maps):
         probes.write_pgm(os.path.join(args.out, "maps", f"layer_{i}.pgm"), amap)
-    _write_manifest(args.out, "probe",
-                    {"config": config_to_dict(config), "seed": None,
-                     "checkpoint": args.checkpoint, "samples": m,
-                     "bins": args.bins, "query": query})
+    _write_manifest(args, {"config": config_to_dict(config), "seed": None,
+                           "checkpoint": args.checkpoint, "samples": m,
+                           "bins": args.bins, "query": query})
     print(f"probed {m} samples across {config.layers} layers -> {args.out}")
     return 0
 
@@ -204,9 +226,9 @@ def cmd_probe(args) -> int:
 def cmd_gen_data(args) -> int:
     dataset = generate_synthetic(args.n, args.size, args.seed, args.cutoff)
     save_dataset(dataset, args.out)
-    _write_manifest(args.out, "gen-data",
-                    {"config": {"n": args.n, "size": args.size,
-                                "cutoff": args.cutoff}, "seed": args.seed})
+    _write_manifest(args, {"config": {"n": args.n, "size": args.size,
+                                      "cutoff": args.cutoff},
+                           "seed": args.seed})
     print(f"wrote {args.n} samples ({args.size}x{args.size}) to {args.out}")
     return 0
 
@@ -258,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except DivergenceError as e:

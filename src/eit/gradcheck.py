@@ -48,17 +48,18 @@ def gradcheck(f: Callable[[], Tensor], params: dict[str, Tensor],
 
     report = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
+        # index p.data in place: flattening a non-contiguous view (e.g. a
+        # transpose) copies it, and perturbing the copy would not reach f
+        numeric = np.zeros(p.shape)
+        for i in np.ndindex(p.shape):
+            saved = p.data[i]
+            p.data[i] = saved + step
             fp = f().item()
-            flat[i] = saved - step
+            p.data[i] = saved - step
             fm = f().item()
-            flat[i] = saved
+            p.data[i] = saved
             numeric[i] = (fp - fm) / (2.0 * step)
-        report[name] = _relative_error(analytic[name].reshape(-1), numeric)
+        report[name] = _relative_error(analytic[name], numeric)
     return report
 
 

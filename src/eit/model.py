@@ -62,6 +62,19 @@ def check_field_types(config) -> None:
                               f"{wanted}, got {value!r}")
 
 
+def check_keys(doc, known, required, where: str) -> None:
+    """Reject a config document that is not a JSON object, names a key not
+    in ``known`` or lacks one in ``required``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = set(required) - set(doc)
+    if missing:
+        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
+
+
 @dataclass(frozen=True)
 class PatchStage:
     """Patch-stage geometry: conv kernel/stride/padding plus the pooling
@@ -153,25 +166,16 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ModelConfig:
     """Build a ModelConfig from a JSON document; unknown keys are rejected."""
-    def pick(src, known, required, where):
-        if not isinstance(src, dict):
-            raise ConfigError(f"{where} must be a JSON object, got {src!r}")
-        unknown = set(src) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = set(required) - set(src)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-
     top = ("channels", "layers", "heads", "classes", "image", "eitp", "eitt",
            "mlp_ratio", "split_policy", "pos_embed", "dropout")
-    pick(doc, top, ("channels", "layers", "heads", "classes", "image", "eitp"),
-         "config")
+    check_keys(doc, top,
+               ("channels", "layers", "heads", "classes", "image", "eitp"),
+               "config")
     eitp = doc["eitp"]
-    pick(eitp, ("kernel", "stride", "padding", "pool"), ("kernel", "stride"),
-         "eitp")
+    check_keys(eitp, ("kernel", "stride", "padding", "pool"),
+               ("kernel", "stride"), "eitp")
     eitt = doc.get("eitt", {})
-    pick(eitt, ("kernel", "stride", "branch_style"), (), "eitt")
+    check_keys(eitt, ("kernel", "stride", "branch_style"), (), "eitt")
     if not isinstance(doc["image"], (list, tuple)):
         raise ConfigError(f"image must be a list [H, W, 3], got {doc['image']!r}")
     kwargs = {k: doc[k] for k in ("channels", "layers", "heads", "classes",

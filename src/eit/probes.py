@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ContractError, DiagnosticError
 
 DEFAULT_BINS = 10
@@ -135,7 +136,7 @@ def mean_distances(records: list[ProbeRecord]) -> np.ndarray:
 
 
 def write_distances_csv(path, per_layer: dict[int, np.ndarray]):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(["layer", "head", "distance_px"])
         for layer in sorted(per_layer):
@@ -144,7 +145,7 @@ def write_distances_csv(path, per_layer: dict[int, np.ndarray]):
 
 
 def write_diversity_csv(path, per_layer: dict[int, float]):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(["layer", "diversity"])
         for layer in sorted(per_layer):
@@ -152,7 +153,7 @@ def write_diversity_csv(path, per_layer: dict[int, float]):
 
 
 def write_spectrum_csv(path, per_layer: dict[int, np.ndarray]):
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(["layer", "bin", "share"])
         for layer in sorted(per_layer):
@@ -166,6 +167,6 @@ def write_pgm(path, image: np.ndarray):
     scaled = image / peak if peak > 0 else image
     pixels = np.clip(scaled * 255.0, 0, 255).astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(pixels.tobytes())

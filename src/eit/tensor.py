@@ -11,6 +11,11 @@ standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
 channel concatenation, plus add, negate, multiply, power, sum and mean.
 
+Convolution is a strided-window GEMM: ``_windows`` views every kernel
+window of the input through its strides, without a copy; the windows are
+gathered into columns and one batched matmul with the per-group weights
+gives the output, for every group count. Max-pooling reads the same view.
+
 All operations are pure: identical inputs give bit-identical outputs.
 """
 
@@ -350,19 +355,34 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---- convolution and pooling --------------------------------------------
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C, H, W) -> view (N, C, OH, OW, kh, kw)."""
-    v = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return v[:, :, ::stride, ::stride]
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int,
+             groups: int = 1) -> np.ndarray:
+    """(N, C, H, W) -> read-only view (N, G, C/G, kh, kw, OH, OW) of every
+    kh x kw window at ``stride``, built from x's own strides, so x may be
+    any view (a transpose, a slice). Read-only because windows overlap."""
+    n, c, h, w = x.shape
+    sn, sc, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, groups, c // groups, kh, kw,
+            (h - kh) // stride + 1, (w - kw) // stride + 1),
+        (sn, sc * (c // groups), sc, sh, sw, sh * stride, sw * stride),
+        writeable=False)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped 2D convolution. weight is (C_out, C_in/groups, kh, kw)."""
+    """Grouped 2D convolution. weight is (C_out, C_in/groups, kh, kw).
+
+    Strided-window GEMM (unfold + matmul, Chellapilla et al. 2006): the
+    windows of the zero-padded input, as columns of K = C_in/groups*kh*kw
+    rows, meet the (groups, C_out/groups, K) weights in one batched matmul.
+    Patch, grouped, depthwise and full-width convs take this one path.
+    The backward keeps only the window view and builds columns when run."""
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise ContractError(f"conv2d: input {x.shape} does not match spec {spec}")
-    cig = spec.in_channels // spec.groups
-    cog = spec.out_channels // spec.groups
-    wshape = (spec.out_channels, cig, spec.kernel_h, spec.kernel_w)
+    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
+    cig = spec.in_channels // g
+    cog = spec.out_channels // g
+    wshape = (spec.out_channels, cig, kh, kw)
     if weight.shape != wshape:
         raise ContractError(f"conv2d: weight {weight.shape}, expected {wshape}")
     if bias is not None and bias.shape != (spec.out_channels,):
@@ -371,30 +391,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     n, _, h, w = x.shape
     oh, ow = spec.out_size(h, w)
     p, s = spec.padding, spec.stride
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    win = _windows(xp, spec.kernel_h, spec.kernel_w, s)
-    wing = win.reshape(n, spec.groups, cig, oh, ow, spec.kernel_h, spec.kernel_w)
-    wg = weight.data.reshape(spec.groups, cog, cig, spec.kernel_h, spec.kernel_w)
-    out = np.einsum("ngcpqkl,gockl->ngopq", wing, wg, optimize=True)
-    out = out.reshape(n, spec.out_channels, oh, ow)
+    k, m = cig * kh * kw, oh * ow
+    xp = x.data
+    if p:
+        xp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
+        xp[:, :, p:p + h, p:p + w] = x.data
+    win = _windows(xp, kh, kw, s, g)
+    wg = weight.data.reshape(g, cog, k)
+    out = (wg @ win.reshape(n, g, k, m)).reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         out += bias.data[None, :, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def back(g):
-        gg = g.reshape(n, spec.groups, cog, oh, ow)
-        gw = np.einsum("ngopq,ngcpqkl->gockl", gg, wing, optimize=True).reshape(wshape)
-        gb = () if bias is None else (g.sum(axis=(0, 2, 3)),)
+    def back(gout):
+        gg = gout.reshape(n, g, cog, m)
+        cols = win.transpose(1, 0, 5, 6, 2, 3, 4).reshape(g, n * m, k)
+        gw = (gg.transpose(1, 2, 0, 3).reshape(g, cog, n * m) @ cols).reshape(wshape)
+        gb = () if bias is None else (gout.sum(axis=(0, 2, 3)),)
         if not x.requires_grad:  # e.g. the raw image: nothing reads its gradient
             return (None, gw, *gb)
-        gwin = np.einsum("ngopq,gockl->ngcpqkl", gg, wg, optimize=True)
-        gwin = gwin.reshape(n, spec.in_channels, oh, ow, spec.kernel_h, spec.kernel_w)
-        gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=x.data.dtype)
-        for k in range(spec.kernel_h):
-            for l in range(spec.kernel_w):
-                gxp[:, :, k:k + s * (oh - 1) + 1:s,
-                    l:l + s * (ow - 1) + 1:s] += gwin[..., k, l]
+        gcol = (wg.transpose(0, 2, 1) @ gg).reshape(n, spec.in_channels, kh, kw, oh, ow)
+        gxp = np.zeros(xp.shape)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i:i + s * (oh - 1) + 1:s,
+                    j:j + s * (ow - 1) + 1:s] += gcol[:, :, i, j]
         gx = gxp[:, :, p:p + h, p:p + w] if p else gxp
         return (gx, gw, *gb)
     return Tensor._from_op(out, parents, back)
@@ -413,10 +435,12 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     # Per image: gathering the whole batch's windows would copy the input.
     idx = np.empty((n, c, oh, ow), dtype=np.intp)
     for i in range(n):
-        win = _windows(x.data[i:i + 1], window, window, stride)
-        idx[i] = win.reshape(c, oh, ow, -1).argmax(axis=-1)
-    ni, ci, pi, qi = np.ogrid[:n, :c, :oh, :ow]
-    at = (ni, ci, pi * stride + idx // window, qi * stride + idx % window)
+        win = _windows(x.data[i:i + 1], window, window, stride)[0, 0]
+        idx[i] = win.transpose(0, 3, 4, 1, 2).reshape(c, oh, ow, -1).argmax(axis=-1)
+    dy, dx = np.divmod(idx, window)  # argmax's place in its window
+    dy += np.arange(0, stride * oh, stride)[:, None]
+    dx += np.arange(0, stride * ow, stride)
+    at = (np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], dy, dx)
     disjoint = stride >= window  # then no input element is in two windows
     return Tensor._from_op(
         x.data[at], (x,),

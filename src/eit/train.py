@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .data import Dataset
 from .errors import ConfigError, ContractError, DivergenceError
-from .model import ModelConfig, Tensor, check_field_types, forward, \
-    init_params
+from .model import ModelConfig, Tensor, check_field_types, check_keys, \
+    forward, init_params
 from .tensor import log_softmax
 from . import checkpoint
 
@@ -50,10 +51,7 @@ class TrainConfig:
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:
-    known = set(TrainConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown train-config keys: {sorted(unknown)}")
+    check_keys(doc, TrainConfig.__dataclass_fields__, (), "train-config")
     return TrainConfig(**doc)
 
 
@@ -207,7 +205,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
 def write_metrics_csv(path, metrics: list[dict]):
     cols = ["epoch", "step", "lr", "train_loss", "train_acc",
             "eval_loss", "eval_acc"]
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         out = csv.writer(f)
         out.writerow(cols)
         for row in metrics:

@@ -1,5 +1,7 @@
+import errno
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,26 @@ class TestRoundtrip:
         _, (back, _) = roundtrip(tmp_path)
         for name, t in back.items():
             assert t.data.flags.writeable and t.data.flags.owndata, name
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path,
+                                                       monkeypatch):
+        params, _ = roundtrip(tmp_path)
+        path = tmp_path / "m.ckpt"
+        before = path.read_bytes()
+
+        def disk_full(*args):  # raised after the magic is written
+            raise OSError(errno.ENOSPC, "No space left on device")
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "struct", SimpleNamespace(pack=disk_full))
+            with pytest.raises(OSError):
+                checkpoint.save(path, init_params(MICRO, 1), MICRO)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        back, _ = checkpoint.load(path)
+        for name in params:
+            assert (back[name].data == params[name].data).all(), name
 
 
 class TestValidation:

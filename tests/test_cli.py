@@ -55,6 +55,20 @@ class TestDescribe:
         threads = json.loads((out / "manifest.json").read_text())["threads"]
         assert threads is None or (type(threads) is int and threads > 0)
 
+    def test_manifest_records_versions_wall_time_and_rss(self, micro_cfg,
+                                                         tmp_path):
+        out = tmp_path / "out"
+        main(["describe", "--config", micro_cfg, "--out", str(out)])
+        doc = json.loads((out / "manifest.json").read_text())
+        for key in ("python", "numpy", "scipy"):
+            assert type(doc[key]) is str and doc[key][0].isdigit(), key
+        assert set(doc["blas"]) == {"name", "version"}
+        assert all(v is None or type(v) is str for v in doc["blas"].values())
+        assert type(doc["wall_s"]) is float and doc["wall_s"] >= 0
+        assert type(doc["peak_rss_mib"]) is float and doc["peak_rss_mib"] > 0
+        assert sorted(p.name for p in out.iterdir()) == ["costs.json",
+                                                         "manifest.json"]
+
     def test_image_override_changes_tokens(self, micro_cfg, tmp_path, capsys):
         out = tmp_path / "out"
         main(["describe", "--config", micro_cfg, "--image", "16x16",
@@ -174,6 +188,17 @@ class TestPipeline:
                          "--data", str(data), "--out", str(out)]) == 0
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "metrics.csv").read_text() == (b / "metrics.csv").read_text()
+
+    @pytest.mark.parametrize("doc", [5, None, [["epochs", 1]]],
+                             ids=["number", "null", "list"])
+    def test_train_config_not_an_object_exits_1(self, doc, tiny_cfg, tmp_path,
+                                                capsys):
+        bad = tmp_path / "train.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["train", "--config", tiny_cfg, "--train-config", str(bad),
+                     "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "train-config must be a JSON object" in capsys.readouterr().err
 
     def test_missing_data_dir_exits_1(self, tiny_cfg, train_cfg, tmp_path):
         assert main(["train", "--config", tiny_cfg,

@@ -16,6 +16,14 @@ def test_square_at_three():
     assert report["x"] < 1e-9
 
 
+def test_non_contiguous_parameter_is_perturbed_in_place():
+    x = Tensor(np.random.default_rng(2).standard_normal((3, 4)).T,
+               requires_grad=True)
+    assert not x.data.flags.c_contiguous
+    report = gradcheck(lambda: x.pow(3.0).sum(), {"x": x})
+    assert report["x"] <= 1e-8
+
+
 def test_layernorm_params():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((3, 8)))

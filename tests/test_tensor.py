@@ -8,8 +8,9 @@ from scipy.special import erf
 from eit.errors import ContractError, GeometryError
 from eit.gradcheck import gradcheck
 from eit.model import config_from_dict, forward, init_params
-from eit.tensor import (ConvSpec, Tensor, concat, conv2d, layernorm, linear,
-                        log_softmax, matmul, maxpool2d, normalize, softmax_rows)
+from eit.tensor import (ConvSpec, Tensor, _windows, concat, conv2d, layernorm,
+                        linear, log_softmax, matmul, maxpool2d, normalize,
+                        softmax_rows)
 from eit.train import cross_entropy
 
 from oracles import conv2d_loops, matmul_loops, maxpool_loops
@@ -77,6 +78,51 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, s, p, groups),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("kh, kw, s, p, groups", [
+        (3, 3, 1, 0, 1), (3, 3, 1, 2, 1), (2, 3, 1, 1, 2), (3, 1, 2, 0, 3),
+        (3, 3, 2, 1, 6), (1, 2, 2, 2, 6), (4, 2, 3, 1, 2)])
+    def test_transposed_input_matches_loops(self, kh, kw, s, p, groups):
+        # an NHWC array seen as NCHW, as _grid_conv passes its tokens
+        rng = np.random.default_rng(10 * kh + kw + 7 * s + 3 * p + groups)
+        x = rng.standard_normal((2, 7, 5, 6)).transpose(0, 3, 1, 2)
+        assert not x.flags.c_contiguous
+        w = rng.standard_normal((12, 6 // groups, kh, kw))
+        b = rng.standard_normal(12)
+        spec = ConvSpec(kh, kw, s, p, groups, 6, 12)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, s, p, groups),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 2, 4], ids=["full", "grouped", "depthwise"])
+    def test_gradcheck_stride_2_padded(self, groups):
+        rng = np.random.default_rng(groups)
+        params = {"x": Tensor(rng.standard_normal((2, 6, 5, 4)).transpose(0, 3, 1, 2),
+                              requires_grad=True),
+                  "weight": Tensor(rng.standard_normal((4, 4 // groups, 3, 2)),
+                                   requires_grad=True),
+                  "bias": Tensor(rng.standard_normal(4), requires_grad=True)}
+        spec = ConvSpec(3, 2, 2, 1, groups, 4, 4)
+        proj = Tensor(rng.standard_normal((2, 4) + spec.out_size(6, 5)))
+        report = gradcheck(lambda: (conv2d(params["x"], params["weight"],
+                                           params["bias"], spec) * proj).sum(),
+                           params)
+        assert max(report.values()) <= 1e-7, report
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_input_unchanged_and_windows_read_only(self, p):
+        rng = np.random.default_rng(p)
+        x0 = rng.standard_normal((2, 4, 5, 5))
+        x = Tensor(x0.copy(), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        out = conv2d(x, w, None, ConvSpec(3, 3, 2, p, 2, 4, 4))
+        out.pow(2.0).sum().backward()
+        assert x.data.tobytes() == x0.tobytes()
+        win = _windows(x.data, 3, 3, 2, 2)
+        assert win.shape == (2, 2, 2, 3, 3, 2, 2) and not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0, 0, 0, 0, 0, 0, 0] = 1.0
+        assert x.data.tobytes() == x0.tobytes()
+
     def test_weight_shape_mismatch(self):
         spec = ConvSpec(3, 3, in_channels=3, out_channels=4)
         with pytest.raises(ContractError):
@@ -135,6 +181,13 @@ class TestMaxpool:
         x = rng.standard_normal((2, 3, h, h))
         out = maxpool2d(Tensor(x), win, s)
         np.testing.assert_allclose(out.data, maxpool_loops(x, win, s), atol=1e-12)
+
+    @pytest.mark.parametrize("win, s", [(2, 2), (3, 1), (3, 2)])
+    def test_transposed_input_vs_bruteforce(self, win, s):
+        x = np.random.default_rng(win + s).standard_normal((2, 7, 6, 3))
+        x = x.transpose(0, 3, 1, 2)
+        out = maxpool2d(Tensor(x), win, s)
+        np.testing.assert_array_equal(out.data, maxpool_loops(x, win, s))
 
     def test_oversized_window(self):
         with pytest.raises(GeometryError):
