@@ -74,14 +74,14 @@ def _write_manifest(args, payload: dict):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "image", None):
+    if getattr(args, "image", None) is not None:
         try:
             h, w = (int(v) for v in args.image.lower().split("x"))
         except ValueError:
             raise ConfigError(f"--image must be HxW, e.g. 224x224, "
                               f"got {args.image!r}") from None
         config = dataclasses.replace(config, image=(h, w, 3))
-    if getattr(args, "classes", None):
+    if getattr(args, "classes", None) is not None:
         config = dataclasses.replace(config, classes=args.classes)
     return config
 

@@ -3,6 +3,7 @@ directory format (labels.csv + planar u8 .raw files + dataset.json)."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ContractError, LoadError
 
 
@@ -71,20 +73,26 @@ def generate_synthetic(n: int, size: int = 16, seed: int = 0,
 
 
 def save_dataset(dataset: Dataset, path):
-    """Write the raw directory layout consumed by load_dataset."""
+    """Write the raw directory layout consumed by load_dataset. Each file is
+    written atomically, and labels.csv, which lists the samples, is removed
+    first and written last: an interrupted write leaves no labels.csv that
+    names a missing image or one from another write."""
     os.makedirs(path, exist_ok=True)
+    labels_file = os.path.join(path, "labels.csv")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(labels_file)
     h, w = dataset.images.shape[2:]
-    with open(os.path.join(path, "dataset.json"), "w") as f:
+    with atomic_open(os.path.join(path, "dataset.json")) as f:
         json.dump({"height": int(h), "width": int(w)}, f)
-    with open(os.path.join(path, "labels.csv"), "w", newline="") as f:
+    names = [f"img_{i:05d}.raw" for i in range(len(dataset))]
+    for name, image in zip(names, dataset.images):
+        raw = np.rint(np.clip(image * 255.0, 0, 255)).astype(np.uint8)
+        with atomic_open(os.path.join(path, name), "wb") as f:
+            f.write(raw.tobytes())
+    with atomic_open(labels_file, newline="") as f:
         out = csv.writer(f)
         out.writerow(["filename", "label"])
-        for i, label in enumerate(dataset.labels):
-            name = f"img_{i:05d}.raw"
-            out.writerow([name, int(label)])
-            raw = np.rint(np.clip(dataset.images[i] * 255.0, 0, 255)).astype(np.uint8)
-            with open(os.path.join(path, name), "wb") as rf:
-                rf.write(raw.tobytes())
+        out.writerows([name, int(label)] for name, label in zip(names, dataset.labels))
 
 
 def load_dataset(path, split: str = "train", limit: int | None = None) -> Dataset:

@@ -32,8 +32,9 @@ def gradcheck(f: Callable[[], Tensor], params: dict[str, Tensor],
     Returns the max relative error per parameter name. ``f`` must be
     deterministic; a re-evaluation mismatch raises DiagnosticError.
     """
-    if step <= 0:
-        raise ContractError("gradcheck: step must be positive")
+    if not 0 < step < np.inf:  # NaN fails this too
+        raise ContractError(f"gradcheck: step must be positive and finite, "
+                            f"got {step}")
     base = f()
     if base.data.size != 1:
         raise ContractError("gradcheck: f must produce a scalar")

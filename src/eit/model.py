@@ -11,6 +11,7 @@ to pure attention at the last layer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -392,7 +393,7 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     q = qkv[:, :, :cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
     k = qkv[:, :, cm:2 * cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
     v = qkv[:, :, 2 * cm:].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
-    a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d)))
+    a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d)))
     o = matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm)
     return linear(o, out_w, out_b), a.data
 

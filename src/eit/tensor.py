@@ -15,12 +15,23 @@ Convolution is a strided-window GEMM: ``_windows`` views every kernel
 window of the input through its strides, without a copy; the windows are
 gathered into columns and one batched matmul with the per-group weights
 gives the output, for every group count. Max-pooling reads the same view.
+``_windows`` takes only a C-contiguous array: conv2d's zero-padded buffer
+is one, and at padding 0 conv2d and maxpool2d pass
+``np.ascontiguousarray`` of their input, which copies only a
+non-contiguous one.
+
+Per-node cost matters as much as array work on small inputs (a MICRO
+gradcheck runs thousands of forwards of arrays of a few hundred
+elements), so the code that runs once per node calls numpy only on
+arrays: a numpy call on a Python tuple, list or scalar costs several
+microseconds before any arithmetic.
 
 All operations are pure: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +119,12 @@ class Tensor:
         parent, in order, and writes to no Tensor; ``Tensor.backward``
         replays the graph once and then releases it."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                break
         return out
 
     @property
@@ -204,7 +217,9 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inv = np.argsort(axes)
+        inv = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inv[a] = i
         return Tensor._from_op(self.data.transpose(axes), (self,),
                                lambda g: (g.transpose(inv),))
 
@@ -258,8 +273,10 @@ class Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits, end = [], 0
+    for t in tensors[:-1]:
+        end += t.shape[axis]
+        splits.append(end)
     tensors = tuple(tensors)
     return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis),
                            tensors, lambda g: np.split(g, splits, axis=axis))
@@ -324,7 +341,7 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, shift: Tensor,
     """Standardize x over ``axes`` (biased variance + eps), then affine."""
     if eps <= 0:
         raise ContractError("normalize: eps must be positive")
-    inv_n = 1.0 / np.prod([x.shape[a] for a in axes])
+    inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
     xhat = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
     std = np.sqrt((xhat * xhat).sum(axis=axes, keepdims=True) * inv_n + eps)
     xhat /= std
@@ -358,15 +375,19 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int,
              groups: int = 1) -> np.ndarray:
     """(N, C, H, W) -> read-only view (N, G, C/G, kh, kw, OH, OW) of every
-    kh x kw window at ``stride``, built from x's own strides, so x may be
-    any view (a transpose, a slice). Read-only because windows overlap."""
+    kh x kw window at ``stride``. x must be C-contiguous (a first-axis slice
+    of a contiguous array is): the view is an ``np.ndarray`` over x's buffer
+    with x's own strides, several times cheaper than ``as_strided``, and
+    ``np.ndarray`` refuses a non-contiguous buffer with a ValueError.
+    Read-only because windows overlap."""
     n, c, h, w = x.shape
     sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, groups, c // groups, kh, kw,
-            (h - kh) // stride + 1, (w - kw) // stride + 1),
-        (sn, sc * (c // groups), sc, sh, sw, sh * stride, sw * stride),
-        writeable=False)
+    win = np.ndarray((n, groups, c // groups, kh, kw,
+                      (h - kh) // stride + 1, (w - kw) // stride + 1),
+                     x.dtype, x, 0,
+                     (sn, sc * (c // groups), sc, sh, sw, sh * stride, sw * stride))
+    win.flags.writeable = False
+    return win
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
@@ -392,10 +413,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
     oh, ow = spec.out_size(h, w)
     p, s = spec.padding, spec.stride
     k, m = cig * kh * kw, oh * ow
-    xp = x.data
     if p:
         xp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
         xp[:, :, p:p + h, p:p + w] = x.data
+    else:  # copies only a non-contiguous x, e.g. a 1x1 conv branch's tokens
+        xp = np.ascontiguousarray(x.data)
     win = _windows(xp, kh, kw, s, g)
     wg = weight.data.reshape(g, cog, k)
     out = (wg @ win.reshape(n, g, k, m)).reshape(n, spec.out_channels, oh, ow)
@@ -434,8 +456,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     ow = (w - window) // stride + 1
     # Per image: gathering the whole batch's windows would copy the input.
     idx = np.empty((n, c, oh, ow), dtype=np.intp)
+    xc = np.ascontiguousarray(x.data)  # the model's conv output already is
     for i in range(n):
-        win = _windows(x.data[i:i + 1], window, window, stride)[0, 0]
+        win = _windows(xc[i:i + 1], window, window, stride)[0, 0]
         idx[i] = win.transpose(0, 3, 4, 1, 2).reshape(c, oh, ow, -1).argmax(axis=-1)
     dy, dx = np.divmod(idx, window)  # argmax's place in its window
     dy += np.arange(0, stride * oh, stride)[:, None]

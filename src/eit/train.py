@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if not 0 <= self.momentum < 1:  # NaN fails this too
+            raise ConfigError(f"need 0 <= momentum < 1, got {self.momentum}")
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:

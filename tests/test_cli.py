@@ -81,6 +81,13 @@ class TestDescribe:
                      "--out", str(tmp_path / "out")]) == 1
         assert "--image" in capsys.readouterr().err
 
+    def test_zero_classes_override_exits_1(self, micro_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["describe", "--config", micro_cfg, "--classes", "0",
+                     "--out", str(out)]) == 1
+        assert "classes" in capsys.readouterr().err
+        assert not (out / "costs.json").exists()
+
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["describe", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
@@ -115,6 +122,12 @@ class TestGradcheck:
         doc = json.loads((out / "gradcheck.json").read_text())
         assert doc["passed"] is True
         assert doc["worst"]["error"] <= doc["tolerance"]
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_exits_1(self, step, micro_cfg, tmp_path, capsys):
+        assert main(["gradcheck", "--config", micro_cfg, "--step", step,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"got {step}" in capsys.readouterr().err
 
     def test_oversized_model_refused(self, tmp_path, capsys):
         big = tmp_path / "big.json"
@@ -199,6 +212,16 @@ class TestPipeline:
                      "--data", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "run")]) == 1
         assert "train-config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("momentum", [-1.0, 3.0, float("nan")])
+    def test_bad_momentum_exits_1(self, momentum, tiny_cfg, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--out", str(data), "--n", "4", "--size", "16"])
+        bad = tmp_path / "train.json"
+        bad.write_text(json.dumps({**TRAIN_CFG, "momentum": momentum}))
+        assert main(["train", "--config", tiny_cfg, "--train-config", str(bad),
+                     "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert "momentum" in capsys.readouterr().err
 
     def test_missing_data_dir_exits_1(self, tiny_cfg, train_cfg, tmp_path):
         assert main(["train", "--config", tiny_cfg,

@@ -50,6 +50,30 @@ class TestRawFormat:
         # u8 quantization: within half a step
         assert np.abs(back.images - ds.images).max() <= 0.5 / 255 + 1e-12
 
+    def test_interrupted_save_leaves_no_labels_file(self, tmp_path,
+                                                    monkeypatch):
+        import eit.data
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(4, 8, seed=0), d)
+        real = eit.data.atomic_open
+
+        def failing(path, *args, **kwargs):
+            if str(path).endswith("img_00002.raw"):
+                raise KeyboardInterrupt
+            return real(path, *args, **kwargs)
+        monkeypatch.setattr(eit.data, "atomic_open", failing)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(generate_synthetic(4, 8, seed=1), d)
+        # the old labels.csv is gone, so no list names a half-written set
+        assert not (d / "labels.csv").exists()
+        assert not list(d.glob("*.tmp"))
+        with pytest.raises(LoadError):
+            load_dataset(d)
+        monkeypatch.setattr(eit.data, "atomic_open", real)
+        ds = generate_synthetic(4, 8, seed=1)
+        save_dataset(ds, d)
+        assert (load_dataset(d).labels == ds.labels).all()
+
     def test_missing_sidecar(self, tmp_path):
         with pytest.raises(LoadError):
             load_dataset(tmp_path)

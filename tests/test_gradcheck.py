@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eit.errors import DiagnosticError
+from eit.errors import ContractError, DiagnosticError
 from eit.gradcheck import gradcheck, worst_offender
 from eit.tensor import ConvSpec, Tensor, conv2d, layernorm, matmul, \
     maxpool2d, softmax_rows
@@ -14,6 +14,19 @@ def test_square_at_three():
     (x * x).sum().backward()
     assert x.grad[0] == pytest.approx(6.0)
     assert report["x"] < 1e-9
+
+
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_step_must_be_positive_and_finite(step):
+    x = Tensor(np.array([3.0]), requires_grad=True)
+    calls = []
+
+    def f():
+        calls.append(1)
+        return (x * x).sum()
+    with pytest.raises(ContractError, match=f"got {step}"):
+        gradcheck(f, {"x": x}, step=step)
+    assert calls == []  # rejected before the first evaluation
 
 
 def test_non_contiguous_parameter_is_perturbed_in_place():

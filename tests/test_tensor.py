@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -567,3 +568,118 @@ class TestEngineContract:
         (x * 3.0).sum().backward()
         (x * x).sum().backward()
         np.testing.assert_array_equal(x.grad, 3.0 + 2.0 * x.data)
+
+
+class TestPerNodeOverhead:
+    """The code that runs once per node calls numpy only on arrays."""
+
+    SLOW = [(np, "argsort"), (np, "prod"), (np, "cumsum"),
+            (np.lib.stride_tricks, "as_strided")]
+
+    @pytest.mark.parametrize("policy, style", [
+        ("decreasing", "conv"), ("parallel", "conv"),
+        ("decreasing", "conv_bn_relu")])
+    def test_micro_loss_calls_no_sequence_numpy(self, policy, style,
+                                                 monkeypatch):
+        cfg = config_from_dict({
+            "channels": 8, "layers": 2, "heads": 2, "classes": 2,
+            "image": [8, 8, 3], "split_policy": policy,
+            "eitt": {"kernel": 3, "stride": 1, "branch_style": style},
+            "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 2}})
+        params = init_params(cfg, 0)
+        images = np.random.default_rng(0).random((2, 3, 8, 8))
+        calls = []
+        for module, name in self.SLOW:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        np.argsort([1, 0])  # the counter sees a call
+        assert calls == ["argsort"]
+        calls.clear()
+        cross_entropy(forward(images, params, cfg), np.array([0, 1])).backward()
+        assert calls == []
+
+    @pytest.mark.parametrize("ndim", [3, 4, 5])
+    def test_transpose_gradient_returns_to_the_original_layout(self, ndim):
+        rng = np.random.default_rng(ndim)
+        shape = (2, 3, 4, 5, 6)[:ndim]
+        for i, perm in enumerate(itertools.permutations(range(ndim))):
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            y = x.transpose(perm) if i % 2 else x.transpose(*perm)
+            g = rng.standard_normal(y.shape)
+            (y * g).sum().backward()
+            assert x.grad.tobytes() == g.transpose(np.argsort(perm)).tobytes(), perm
+
+    def test_transpose_gradient_with_negative_axes(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        y = x.transpose(0, -1, 1)
+        g = rng.standard_normal(y.shape)
+        (y * g).sum().backward()
+        assert x.grad.tobytes() == g.transpose(0, 2, 1).tobytes()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_concat_of_three_splits_its_gradient_exactly(self, axis):
+        rng = np.random.default_rng(axis % 3)
+        shapes = [[3, 4, 5] for _ in range(3)]
+        for k, size in enumerate((2, 1, 3)):
+            shapes[k][axis] = size
+        parts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        y = concat(parts, axis)
+        g = rng.standard_normal(y.shape)
+        (y * g).sum().backward()
+        for part, expected in zip(parts, np.split(g, [2, 3], axis=axis)):
+            assert part.grad.shape == part.shape
+            assert part.grad.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("kh, kw, s, groups", [(3, 3, 1, 1), (2, 3, 2, 3)])
+    def test_windows_on_a_first_axis_slice_match_as_strided(self, kh, kw, s, groups):
+        x = np.random.default_rng(kh + s).standard_normal((3, 6, 7, 8))
+        part = x[1:3]  # contiguous, but not at the start of the buffer
+        win = _windows(part, kh, kw, s, groups)
+        ref = np.lib.stride_tricks.as_strided(part, win.shape, win.strides,
+                                              writeable=False)
+        assert win.tobytes() == ref.tobytes()
+        assert win[0, 0, 0, 0, 0, 0, 0] == x[1, 0, 0, 0]
+        assert np.shares_memory(win, x) and not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0, 0, 0, 0, 0, 0, 0] = 1.0
+
+    def test_windows_refuse_a_non_contiguous_array(self):
+        x = np.zeros((1, 2, 4, 5)).transpose(0, 1, 3, 2)
+        with pytest.raises(ValueError, match="not contiguous"):
+            _windows(x, 2, 2, 1)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_conv2d_on_transposed_input_at_padding_0(self, groups):
+        rng = np.random.default_rng(groups)
+        x = rng.standard_normal((2, 5, 6, 3)).transpose(0, 3, 1, 2)
+        w = rng.standard_normal((6, 3 // groups, 2, 3))
+        b = rng.standard_normal(6)
+        spec = ConvSpec(2, 3, 1, 0, groups, 3, 6)
+        xt = Tensor(x, requires_grad=True)
+        out = conv2d(xt, Tensor(w), Tensor(b), spec)
+        np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, 1, 0, groups),
+                                   atol=1e-12)
+        xc = Tensor(np.ascontiguousarray(x), requires_grad=True)
+        ref = conv2d(xc, Tensor(w), Tensor(b), spec)
+        assert out.data.tobytes() == ref.data.tobytes()
+        g = rng.standard_normal(out.shape)
+        (out * g).sum().backward()
+        (ref * g).sum().backward()
+        assert xt.grad.tobytes() == xc.grad.tobytes()
+
+    @pytest.mark.parametrize("win, s", [(2, 2), (3, 1)])
+    def test_maxpool2d_on_transposed_input(self, win, s):
+        x = np.random.default_rng(win).standard_normal((2, 6, 7, 3))
+        x = x.transpose(0, 3, 1, 2)
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool2d(xt, win, s)
+        np.testing.assert_array_equal(out.data, maxpool_loops(x, win, s))
+        out.sum().backward()
+        xc = Tensor(np.ascontiguousarray(x), requires_grad=True)
+        maxpool2d(xc, win, s).sum().backward()
+        assert xt.grad.tobytes() == xc.grad.tobytes()

@@ -128,6 +128,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"TrainConfig.{field} must be"):
             train_config_from_dict({field: value})
 
+    @pytest.mark.parametrize("momentum", [float("nan"), -1.0, 1.0, 3.0])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        with pytest.raises(ConfigError, match="momentum"):
+            train_config_from_dict({"momentum": momentum})
+
+    def test_momentum_range_ends(self):
+        assert train_config_from_dict({"momentum": 0.0}).momentum == 0.0
+        assert train_config_from_dict({"momentum": 0.999}).momentum == 0.999
+
     def test_integers_accepted_in_float_fields(self):
         cfg = train_config_from_dict({"base_lr": 1, "min_lr": 1, "momentum": 0})
         assert (cfg.base_lr, cfg.momentum) == (1, 0)
