@@ -5,7 +5,7 @@ from .tensor import ConvSpec, Tensor, concat, conv2d, layernorm, linear, \
 from .model import (ConvBranch, ModelConfig, PatchStage, SplitSchedule,
                     build_schedule, config_from_dict, config_to_dict,
                     eitp_embed, eitt_branch, encoder_layer, forward,
-                    init_params, load_config, mha, param_shapes, schedule_for)
+                    init_params, mha, param_shapes, read_json, schedule_for)
 from .costs import CostReport, cost_report, count_flops, count_params
 from .gradcheck import gradcheck
 
@@ -14,6 +14,6 @@ __all__ = [
     "maxpool2d", "softmax_rows", "ConvBranch", "ModelConfig", "PatchStage",
     "SplitSchedule", "build_schedule", "config_from_dict", "config_to_dict",
     "eitp_embed", "eitt_branch", "encoder_layer", "forward", "init_params",
-    "load_config", "mha", "param_shapes", "schedule_for", "CostReport",
+    "mha", "param_shapes", "read_json", "schedule_for", "CostReport",
     "cost_report", "count_flops", "count_params", "gradcheck",
 ]

@@ -29,9 +29,9 @@ from .atomic import atomic_open
 from .data import generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DivergenceError, EitError
 from .gradcheck import gradcheck, worst_offender
-from .model import (config_to_dict, forward, init_params, load_config,
-                    schedule_for)
-from .train import cross_entropy, load_train_config, train
+from .model import (config_from_dict, config_to_dict, forward, init_params,
+                    read_json, schedule_for)
+from .train import cross_entropy, train, train_config_from_dict
 
 GRADCHECK_PARAM_LIMIT = 50_000
 GRADCHECK_TOL = 1e-4
@@ -87,7 +87,7 @@ def _apply_overrides(config, args):
 
 
 def cmd_describe(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _apply_overrides(config_from_dict(read_json(args.config)), args)
     sched = schedule_for(config)
     report = costs.cost_report(config)
     h0, w0 = config.token_grid()
@@ -128,7 +128,7 @@ def cmd_describe(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_config(args.config)
+    config = config_from_dict(read_json(args.config))
     total = costs.count_params(config).total_params
     if total > GRADCHECK_PARAM_LIMIT:
         raise ConfigError(f"config has {total} parameters; finite differences "
@@ -162,8 +162,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    tconfig = load_train_config(args.train_config)
+    config = config_from_dict(read_json(args.config))
+    tconfig = train_config_from_dict(read_json(args.train_config))
     dataset = load_dataset(args.data)
     try:  # the manifest is written also when training diverges
         train(config, tconfig, dataset, out_dir=args.out)

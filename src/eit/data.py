@@ -95,7 +95,7 @@ def save_dataset(dataset: Dataset, path):
         out.writerows([name, int(label)] for name, label in zip(names, dataset.labels))
 
 
-def load_dataset(path, split: str = "train", limit: int | None = None) -> Dataset:
+def load_dataset(path, limit: int | None = None) -> Dataset:
     """Read the first ``limit`` rows of ``labels.csv`` (all when None) and the
     image files they name, which must lie inside the dataset directory."""
     sidecar = os.path.join(path, "dataset.json")
@@ -138,4 +138,4 @@ def load_dataset(path, split: str = "train", limit: int | None = None) -> Datase
         images[i] = raw.reshape(3, h, w) / 255.0
     if (labels < 0).any():
         raise LoadError(f"{labels_file}: negative label")
-    return Dataset(images, labels, split)
+    return Dataset(images, labels)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def _is_int(v) -> bool:
 _FIELD_TYPES = {
     "int": (_is_int, "integer"),
     "tuple[int, int, int]": (
-        lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "integer"),
+        lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+        "a list of integers"),
     "float": (lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
               "a number"),
     "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
@@ -61,19 +63,6 @@ def check_field_types(config) -> None:
         if not accepts(value):
             raise ConfigError(f"{type(config).__name__}.{f.name} must be "
                               f"{wanted}, got {value!r}")
-
-
-def check_keys(doc, known, required, where: str) -> None:
-    """Reject a config document that is not a JSON object, names a key not
-    in ``known`` or lacks one in ``required``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    missing = set(required) - set(doc)
-    if missing:
-        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -165,34 +154,43 @@ def config_to_dict(config: ModelConfig) -> dict:
     return d
 
 
+def from_dict(cls, doc, where: str):
+    """Build the config dataclass ``cls`` from a JSON object. Its keys are
+    the field names, a field with no default is required, a field whose
+    type is a dataclass is built the same way from its own object, and a
+    JSON list becomes a tuple. The dataclass checks the values."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    specs = {f.name: f for f in fields(cls)}
+    unknown = set(doc) - set(specs)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = {name for name, f in specs.items() if name not in doc and
+               f.default is MISSING and f.default_factory is MISSING}
+    if missing:
+        raise ConfigError(f"missing {where} keys: {sorted(missing)}")
+    types = get_type_hints(cls)
+    kwargs = {}
+    for name, value in doc.items():
+        if is_dataclass(types[name]):
+            value = from_dict(types[name], value, name)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
 def config_from_dict(doc: dict) -> ModelConfig:
-    """Build a ModelConfig from a JSON document; unknown keys are rejected."""
-    top = ("channels", "layers", "heads", "classes", "image", "eitp", "eitt",
-           "mlp_ratio", "split_policy", "pos_embed", "dropout")
-    check_keys(doc, top,
-               ("channels", "layers", "heads", "classes", "image", "eitp"),
-               "config")
-    eitp = doc["eitp"]
-    check_keys(eitp, ("kernel", "stride", "padding", "pool"),
-               ("kernel", "stride"), "eitp")
-    eitt = doc.get("eitt", {})
-    check_keys(eitt, ("kernel", "stride", "branch_style"), (), "eitt")
-    if not isinstance(doc["image"], (list, tuple)):
-        raise ConfigError(f"image must be a list [H, W, 3], got {doc['image']!r}")
-    kwargs = {k: doc[k] for k in ("channels", "layers", "heads", "classes",
-                                  "mlp_ratio", "split_policy", "pos_embed",
-                                  "dropout") if k in doc}
-    return ModelConfig(image=tuple(doc["image"]), eitp=PatchStage(**eitp),
-                       eitt=ConvBranch(**eitt), **kwargs)
+    return from_dict(ModelConfig, doc, "config")
 
 
-def load_config(path) -> ModelConfig:
+def read_json(path):
+    """The JSON document in the file at ``path``."""
     with open(path) as f:
         try:
-            doc = json.load(f)
+            return json.load(f)
         except ValueError as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
-    return config_from_dict(doc)
 
 
 # -- split schedule --------------------------------------------------------
@@ -258,6 +256,13 @@ def _branch_steps(config: ModelConfig, width: int) -> tuple[tuple[str, ...], int
     return BRANCH_STEPS[config.eitt.branch_style], width
 
 
+def _conv_has_bias(steps: tuple[str, ...], j: int) -> bool:
+    """Whether conv step j has a bias: not when a batch norm follows it,
+    which subtracts the batch mean and so would give the bias a zero
+    gradient and no effect."""
+    return steps[j + 1:j + 2] != ("bn",)
+
+
 # -- parameters ------------------------------------------------------------
 
 
@@ -285,11 +290,12 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
                 (f"{p}.attn.out.weight", (cm, cm), "attention", "proj"),
                 (f"{p}.attn.out.bias", (cm,), "attention", "zeros")]
         steps, groups = _branch_steps(config, ct)
-        for step in steps:
+        for j, step in enumerate(steps):
             if step.startswith("conv"):
-                out += [(f"{p}.{step}.weight", (ct, ct // groups, kt, kt),
-                         "conv_branch", "conv"),
-                        (f"{p}.{step}.bias", (ct,), "conv_branch", "zeros")]
+                out.append((f"{p}.{step}.weight", (ct, ct // groups, kt, kt),
+                            "conv_branch", "conv"))
+                if _conv_has_bias(steps, j):
+                    out.append((f"{p}.{step}.bias", (ct,), "conv_branch", "zeros"))
             elif step == "fc":
                 out += [(f"{p}.fc.weight", (ct, ct), "conv_branch", "proj"),
                         (f"{p}.fc.bias", (ct,), "conv_branch", "zeros")]
@@ -398,7 +404,7 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     return linear(o, out_w, out_b), a.data
 
 
-def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor,
+def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor | None,
                spec: ConvSpec, grid: tuple[int, int]) -> Tensor:
     """Apply a spatial conv to patch tokens laid out row-major on the grid."""
     n, p, c = tokens.shape
@@ -423,10 +429,11 @@ def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
     kt = config.eitt.kernel
     spec = ConvSpec(kt, kt, 1, kt // 2, groups, ct, ct)
     y = x[:, 1:, :]
-    for step in steps:
+    for j, step in enumerate(steps):
         if step.startswith("conv"):
-            y = _grid_conv(y, params[f"{prefix}.{step}.weight"],
-                           params[f"{prefix}.{step}.bias"], spec, grid)
+            bias = (params[f"{prefix}.{step}.bias"]
+                    if _conv_has_bias(steps, j) else None)
+            y = _grid_conv(y, params[f"{prefix}.{step}.weight"], bias, spec, grid)
         elif step == "fc":
             y = linear(y, params[f"{prefix}.fc.weight"], params[f"{prefix}.fc.bias"])
         elif step == "bn":

@@ -9,7 +9,7 @@ kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
 standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
-channel concatenation, plus add, negate, multiply, power, sum and mean.
+channel concatenation, plus add, negate, multiply, sum and mean.
 
 Convolution is a strided-window GEMM: ``_windows`` views every kernel
 window of the input through its strides, without a copy; the windows are
@@ -200,11 +200,6 @@ class Tensor:
         return Tensor._from_op(self.data * other.data, (self, other),
                                lambda g: (g * other.data, g * self.data))
 
-    def pow(self, exponent: float):
-        return Tensor._from_op(
-            self.data ** exponent, (self,),
-            lambda g: (g * exponent * self.data ** (exponent - 1),))
-
     # ---- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
@@ -225,10 +220,13 @@ class Tensor:
 
     def __getitem__(self, key):
         # Slices and ints pick each element at most once; an advanced index
-        # (e.g. cross_entropy's [rows, labels]) may repeat one.
-        basic = all(isinstance(k, slice) or
-                    (isinstance(k, int) and not isinstance(k, bool))
-                    for k in (key if isinstance(key, tuple) else (key,)))
+        # (e.g. cross_entropy's [rows, labels]) may repeat one. A loop, not
+        # all() over a generator: this runs once per node.
+        basic = True
+        for k in key if isinstance(key, tuple) else (key,):
+            if type(k) is not slice and type(k) is not int:
+                basic = False
+                break
         return Tensor._from_op(
             self.data[key], (self,),
             lambda g: (_scatter_into_zeros(self.data, key, g, basic),))

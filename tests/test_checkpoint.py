@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import struct
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from eit import checkpoint
+from eit.cli import main
 from eit.errors import LoadError
-from eit.model import ModelConfig, PatchStage, forward, init_params
+from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor, forward,
+                       init_params)
 
 MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2, image=(8, 8, 3),
                     eitp=PatchStage(3, 1, 1, 2))
@@ -107,6 +110,18 @@ class TestValidation:
                       header + blob[16 + hlen:])
         with pytest.raises(LoadError, match="config"):
             checkpoint.load(p)
+
+    def test_conv_bn_relu_checkpoint_with_a_conv_bias_rejected(self, tmp_path):
+        # conv_bn_relu's conv has no bias, as its batch norm would cancel it
+        cfg = dataclasses.replace(MICRO, eitt=ConvBranch(branch_style="conv_bn_relu"))
+        params = init_params(cfg, 0)
+        params["layers.0.conv.bias"] = Tensor(np.zeros(4))
+        p = tmp_path / "m.ckpt"
+        checkpoint.save(p, params, cfg)
+        with pytest.raises(LoadError, match="config"):
+            checkpoint.load(p)
+        assert main(["probe", "--checkpoint", str(p), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "probe")]) == 1
 
     @pytest.mark.parametrize("tag", ["f16", "f32"])
     def test_non_f64_dtype_rejected(self, tmp_path, tag):

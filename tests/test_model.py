@@ -7,7 +7,7 @@ from eit.errors import ConfigError, ContractError
 from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
                        build_schedule, config_from_dict, config_to_dict,
                        eitp_embed, eitt_branch, encoder_layer, forward,
-                       init_params, mha, schedule_for)
+                       init_params, mha, param_shapes, schedule_for)
 
 from oracles import conv2d_loops, vit_layer_loops
 
@@ -230,6 +230,16 @@ class TestConvBranch:
         out = eitt_branch(x, params4, "layers.0", cfg4, (3, 3))
         assert out.shape == x.shape
         assert (out.data[:, 0, :] == x.data[:, 0, :]).all()
+
+    @pytest.mark.parametrize("style, biases", [
+        ("conv", ["conv"]), ("conv3", ["conv0", "conv1", "conv2"]),
+        ("gelu_conv_fc", ["conv", "fc"]), ("conv_bn_relu", [])])
+    def test_only_a_conv_before_batch_norm_has_no_bias(self, style, biases):
+        cfg = micro(eitt=ConvBranch(branch_style=style))
+        names = {name for name, *_ in param_shapes(cfg)}
+        assert sorted(name[len("layers.0."):-len(".bias")] for name in names
+                      if name.startswith("layers.0.") and name.endswith(".bias")
+                      and ".attn." not in name and ".mlp." not in name) == biases
 
 
 class TestEncoderLayer:

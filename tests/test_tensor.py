@@ -116,7 +116,7 @@ class TestConv2d:
         x = Tensor(x0.copy(), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
         out = conv2d(x, w, None, ConvSpec(3, 3, 2, p, 2, 4, 4))
-        out.pow(2.0).sum().backward()
+        (out * out).sum().backward()
         assert x.data.tobytes() == x0.tobytes()
         win = _windows(x.data, 3, 3, 2, 2)
         assert win.shape == (2, 2, 2, 3, 3, 2, 2) and not win.flags.writeable
@@ -143,7 +143,7 @@ class TestConv2d:
             out = conv2d(xt, w, b, spec)
             if not x_grad:  # the input's slot of the backward is left empty
                 assert out._backward(np.ones(out.shape))[0] is None
-            out.pow(2.0).sum().backward()
+            (out * out).sum().backward()
             grads.append((xt.grad, w.grad, b.grad))
         (gx_raw, gw_raw, gb_raw), (gx, gw, gb) = grads
         assert gx_raw is None and gx is not None

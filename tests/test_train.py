@@ -117,9 +117,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(base_lr=1e-5, min_lr=1e-3)
 
-    def test_unknown_schedule(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(schedule="step")
+    def test_schedule_is_an_unknown_key(self):
+        # the cosine schedule is the only one, so it is not a field
+        with pytest.raises(ConfigError, match="unknown train-config keys: "
+                                              r"\['schedule'\]"):
+            train_config_from_dict({"schedule": "cosine"})
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.0), ("batch_size", 2.0), ("seed", 1.5), ("epochs", True),
