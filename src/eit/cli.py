@@ -20,6 +20,7 @@ import platform
 import resource
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import scipy
@@ -30,7 +31,7 @@ from .data import generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DivergenceError, EitError
 from .gradcheck import gradcheck, worst_offender
 from .model import (config_from_dict, config_to_dict, forward, init_params,
-                    read_json, schedule_for)
+                    loss_stages, read_json, schedule_for)
 from .train import cross_entropy, train, train_config_from_dict
 
 GRADCHECK_PARAM_LIMIT = 50_000
@@ -71,6 +72,11 @@ def _write_manifest(args, payload: dict):
            **payload}
     with atomic_open(os.path.join(args.out, "manifest.json")) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
+
+
+def _check_seed(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 
 
 def _apply_overrides(config, args):
@@ -133,16 +139,22 @@ def cmd_gradcheck(args) -> int:
     if total > GRADCHECK_PARAM_LIMIT:
         raise ConfigError(f"config has {total} parameters; finite differences "
                           f"are only tractable up to {GRADCHECK_PARAM_LIMIT}")
+    _check_seed(args)
     rng = np.random.default_rng(args.seed)
     params = init_params(config, args.seed)
     h, w, _ = config.image
     images = rng.random((1, 3, h, w))
     label = np.array([args.seed % config.classes])
 
-    def f():
-        return cross_entropy(forward(images, params, config), label)
+    def loss(logits):
+        return cross_entropy(logits, label)
 
-    report = gradcheck(f, params, step=args.step)
+    def f():
+        return loss(forward(images, params, config))
+
+    stages = loss_stages(images, params, config, loss)
+    counts = Counter()
+    report = gradcheck(f, params, step=args.step, stages=stages, counts=counts)
     name, err = worst_offender(report)
     passed = err <= GRADCHECK_TOL
     os.makedirs(args.out, exist_ok=True)
@@ -151,7 +163,9 @@ def cmd_gradcheck(args) -> int:
                    "passed": passed, "worst": {"param": name, "error": err},
                    "max_relative_error": report}, f_, indent=2)
     _write_manifest(args, {"config": config_to_dict(config),
-                           "seed": args.seed})
+                           "seed": args.seed, "evaluations": sum(counts.values()),
+                           "resumed_at_stage": [counts[s]
+                                                for s in range(len(stages))]})
     if passed:
         print(f"gradcheck passed: worst {name} rel err {err:.3e} "
               f"(tol {GRADCHECK_TOL:g})")
@@ -224,6 +238,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
+    _check_seed(args)
     dataset = generate_synthetic(args.n, args.size, args.seed, args.cutoff)
     save_dataset(dataset, args.out)
     _write_manifest(args, {"config": {"n": args.n, "size": args.size,

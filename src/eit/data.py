@@ -58,9 +58,13 @@ def generate_synthetic(n: int, size: int = 16, seed: int = 0,
                        cutoff: float = 0.15, split: str = "train") -> Dataset:
     """Two classes separable by spectrum: class 0 is smooth low-pass
     filtered noise, class 1 the same noise modulated by a +-1 checkerboard
-    (which shifts its energy toward Nyquist)."""
+    (which shifts its energy toward Nyquist). ``cutoff`` (cycles per pixel)
+    bounds the filter's radial frequency and must be positive: below 0 the
+    filter passes nothing and every image comes out constant."""
     if n < 1 or size < 2:
         raise ContractError("need n >= 1 samples and size >= 2")
+    if not cutoff > 0:  # NaN fails this too
+        raise ContractError(f"cutoff must be positive, got {cutoff}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
     cb = _checkerboard(size)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import get_type_hints
 
@@ -444,13 +445,13 @@ def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
     return concat([x[:, 0:1, :], y], axis=1)
 
 
-def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
-                  config: ModelConfig, schedule: SplitSchedule,
-                  grid: tuple[int, int], train: bool = False,
-                  rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, np.ndarray]:
-    """Pre-norm residual layer: channel-split conv/attention mix, then MLP.
-    Returns the new activations and the attention weights."""
+def mix_block(x: Tensor, params: dict[str, Tensor], layer: int,
+              config: ModelConfig, schedule: SplitSchedule,
+              grid: tuple[int, int], train: bool = False,
+              rng: np.random.Generator | None = None
+              ) -> tuple[Tensor, np.ndarray]:
+    """First residual block of a layer: x + the channel-split conv/attention
+    mix of norm1(x). Returns the new activations and the attention weights."""
     p = f"layers.{layer}"
     c = config.channels
     ct, cm = schedule.conv[layer], schedule.attn[layer]
@@ -468,15 +469,39 @@ def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
     else:
         conv_out = eitt_branch(n1[:, :, :ct], params, p, config, grid)
         mix = concat([conv_out, attn_out], axis=2)
-    y = x + mix
-    n2 = layernorm(y, params[f"{p}.norm2.gain"], params[f"{p}.norm2.shift"])
+    return x + mix, attn
+
+
+def mlp_block(x: Tensor, params: dict[str, Tensor], layer: int,
+              config: ModelConfig, train: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Second residual block of a layer: x + fc2(GELU(fc1(norm2(x))))."""
+    p = f"layers.{layer}"
+    n2 = layernorm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.shift"])
     hdn = linear(n2, params[f"{p}.mlp.fc1.weight"], params[f"{p}.mlp.fc1.bias"]).gelu()
     if train and config.dropout > 0:
         hdn = dropout(hdn, config.dropout, rng)
     out = linear(hdn, params[f"{p}.mlp.fc2.weight"], params[f"{p}.mlp.fc2.bias"])
     if train and config.dropout > 0:
         out = dropout(out, config.dropout, rng)
-    return y + out, attn
+    return x + out
+
+
+def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
+                  config: ModelConfig, schedule: SplitSchedule,
+                  grid: tuple[int, int], train: bool = False,
+                  rng: np.random.Generator | None = None
+                  ) -> tuple[Tensor, np.ndarray]:
+    """Pre-norm residual layer: the mix block, then the MLP block.
+    Returns the new activations and the attention weights."""
+    y, attn = mix_block(x, params, layer, config, schedule, grid, train, rng)
+    return mlp_block(y, params, layer, config, train, rng), attn
+
+
+def classify(x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Final norm, then the head's logits for the class token."""
+    x = layernorm(x, params["norm.gain"], params["norm.shift"])
+    return linear(x[:, 0, :], params["head.weight"], params["head.bias"])
 
 
 def forward(images, params: dict[str, Tensor], config: ModelConfig,
@@ -497,8 +522,37 @@ def forward(images, params: dict[str, Tensor], config: ModelConfig,
         x, attn = encoder_layer(x, params, i, config, schedule, grid, train, rng)
         if collect_probes:
             probes.append({"layer": i, "input": layer_input, "attention": attn})
-    x = layernorm(x, params["norm.gain"], params["norm.shift"])
-    logits = linear(x[:, 0, :], params["head.weight"], params["head.bias"])
+    logits = classify(x, params)
     if collect_probes:
         return logits, probes
     return logits
+
+
+def loss_stages(images, params: dict[str, Tensor], config: ModelConfig,
+                loss: Callable[[Tensor], Tensor]
+                ) -> list[tuple[tuple[str, ...], Callable]]:
+    """``loss(forward(images, params, config))`` as an ordered list of
+    stages, each the names of the parameters it owns and a function from
+    the previous stage's output to its own: the patch embed (called with
+    None), then per layer the mix block and the MLP block, then the final
+    norm, the head and ``loss``. A parameter changes nothing before its
+    stage, so a loss can be re-evaluated from that stage's input."""
+    if not isinstance(images, Tensor):
+        images = Tensor(images)
+    schedule = schedule_for(config)
+    grid = config.token_grid()
+    names = [name for name, *_ in param_shapes(config)]
+
+    def owned(*prefixes):
+        return tuple(n for n in names if n.startswith(prefixes))
+
+    out = [(owned("eitp.", "cls_token", "pos_embed"),
+            lambda _: eitp_embed(images, params, config))]
+    for i in range(config.layers):
+        p = f"layers.{i}."
+        mlp = owned(p + "norm2.", p + "mlp.")
+        out += [(tuple(n for n in owned(p) if n not in mlp),
+                 lambda x, i=i: mix_block(x, params, i, config, schedule, grid)[0]),
+                (mlp, lambda x, i=i: mlp_block(x, params, i, config))]
+    out.append((owned("norm.", "head."), lambda x: loss(classify(x, params))))
+    return out

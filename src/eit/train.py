@@ -48,6 +48,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not 0 <= self.momentum < 1:  # NaN fails this too
             raise ConfigError(f"need 0 <= momentum < 1, got {self.momentum}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def train_config_from_dict(doc: dict) -> TrainConfig:

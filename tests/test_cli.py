@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from eit.cli import main
+from eit.costs import count_params
+from eit.model import config_from_dict, param_shapes
 
 MICRO_CFG = {"channels": 8, "layers": 2, "heads": 2, "classes": 2,
              "image": [8, 8, 3], "eitp": {"kernel": 3, "stride": 1,
@@ -122,12 +124,25 @@ class TestGradcheck:
         doc = json.loads((out / "gradcheck.json").read_text())
         assert doc["passed"] is True
         assert doc["worst"]["error"] <= doc["tolerance"]
+        # every evaluation but the base, its repeat and one guard per
+        # parameter tensor resumes at the perturbed parameter's stage
+        config = config_from_dict(MICRO_CFG)
+        total = count_params(config).total_params
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["resumed_at_stage"]) == 2 * config.layers + 2
+        assert sum(manifest["resumed_at_stage"]) == 2 * total
+        assert manifest["evaluations"] == 2 * total + 2 + len(param_shapes(config))
 
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_exits_1(self, step, micro_cfg, tmp_path, capsys):
         assert main(["gradcheck", "--config", micro_cfg, "--step", step,
                      "--out", str(tmp_path / "out")]) == 1
         assert f"got {step}" in capsys.readouterr().err
+
+    def test_negative_seed_exits_1(self, micro_cfg, tmp_path, capsys):
+        assert main(["gradcheck", "--config", micro_cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "--seed must be non-negative, got -1" in capsys.readouterr().err
 
     def test_oversized_model_refused(self, tmp_path, capsys):
         big = tmp_path / "big.json"
@@ -223,6 +238,14 @@ class TestPipeline:
                      "--data", str(data), "--out", str(tmp_path / "run")]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1(self, tiny_cfg, tmp_path, capsys):
+        bad = tmp_path / "train.json"
+        bad.write_text(json.dumps({**TRAIN_CFG, "seed": -5}))
+        assert main(["train", "--config", tiny_cfg, "--train-config", str(bad),
+                     "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "seed must be non-negative, got -5" in capsys.readouterr().err
+
     def test_missing_data_dir_exits_1(self, tiny_cfg, train_cfg, tmp_path):
         assert main(["train", "--config", tiny_cfg,
                      "--train-config", train_cfg,
@@ -309,6 +332,17 @@ class TestExitCodes:
 
 
 class TestGenData:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-3", "--seed must be non-negative, got -3"),
+        ("--cutoff", "-1", "cutoff must be positive, got -1.0"),
+        ("--cutoff", "nan", "cutoff must be positive, got nan")])
+    def test_bad_seed_or_cutoff_exits_1(self, flag, value, message, tmp_path,
+                                        capsys):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_and_count(self, tmp_path):
         out = tmp_path / "d"
         assert main(["gen-data", "--out", str(out), "--n", "6",

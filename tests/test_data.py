@@ -40,6 +40,12 @@ class TestSynthetic:
         with pytest.raises(ContractError):
             generate_synthetic(0, 16)
 
+    @pytest.mark.parametrize("cutoff", [-1.0, 0.0, float("nan")])
+    def test_cutoff_must_be_positive(self, cutoff):
+        # a cutoff that passes no frequency gives constant images
+        with pytest.raises(ContractError, match=f"got {cutoff}"):
+            generate_synthetic(4, 8, cutoff=cutoff)
+
 
 class TestRawFormat:
     def test_roundtrip(self, tmp_path):

@@ -1,10 +1,20 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from eit.errors import ContractError, DiagnosticError
-from eit.gradcheck import gradcheck, worst_offender
+from eit.gradcheck import gradcheck, resume, stage_inputs, worst_offender
+from eit.model import (BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES,
+                       ConvBranch, ModelConfig, PatchStage, forward,
+                       init_params, loss_stages)
 from eit.tensor import ConvSpec, Tensor, conv2d, layernorm, matmul, \
     maxpool2d, softmax_rows
+from eit.train import cross_entropy
+
+MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2, image=(8, 8, 3),
+                    eitp=PatchStage(3, 1, 1, 2))
 
 
 def square_sum(y):
@@ -108,7 +118,6 @@ def test_gelu_relu():
 
 def test_softmax_cross_entropy_uniform_logits():
     # gradient at uniform logits is 1/K - onehot
-    from eit.train import cross_entropy
     k = 5
     logits = Tensor(np.zeros((1, k)), requires_grad=True)
     cross_entropy(logits, np.array([2])).backward()
@@ -139,3 +148,74 @@ def test_nondeterministic_f_rejected():
         return (x * float(state["n"])).sum()
     with pytest.raises(DiagnosticError):
         gradcheck(f, {"x": x})
+
+
+class TestStages:
+    """``model.loss_stages`` splits the loss at the residual blocks, and
+    gradcheck resumes each evaluation at the perturbed parameter's stage."""
+
+    def _setup(self, config, seed=3):
+        params = init_params(config, seed)
+        images = np.random.default_rng(seed).random((1, 3) + config.image[:2])
+        label = np.array([seed % config.classes])
+
+        def loss(logits):
+            return cross_entropy(logits, label)
+
+        def f():
+            return loss(forward(images, params, config))
+        return params, f, loss_stages(images, params, config, loss)
+
+    @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
+    @pytest.mark.parametrize("style", BRANCH_STYLES)
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_resumed_loss_equals_full_loss_bitwise(self, policy, style,
+                                                   pos_embed):
+        config = dataclasses.replace(
+            MICRO, split_policy=policy, eitt=ConvBranch(branch_style=style),
+            pos_embed=pos_embed)
+        params, f, stages = self._setup(config)
+        assert len(stages) == 2 * config.layers + 2
+        owned = [name for names, _ in stages for name in names]
+        assert sorted(owned) == sorted(params)  # each parameter exactly once
+        owner = {name: s for s, (names, _) in enumerate(stages)
+                 for name in names}
+        inputs = stage_inputs(stages)
+        for name, p in params.items():
+            for flat in (0, p.data.size - 1):
+                i = np.unravel_index(flat, p.shape)
+                saved = p.data[i]
+                for h in (1e-5, -1e-5):
+                    p.data[i] = saved + h
+                    assert resume(stages, inputs, owner[name]) == f().item(), \
+                        (name, i, h)
+                p.data[i] = saved
+
+    def test_report_and_counts_match_the_one_stage_loop(self):
+        config = dataclasses.replace(
+            MICRO, channels=4, image=(4, 4, 3), mlp_ratio=1,
+            pos_embed="trainable")
+        params, f, stages = self._setup(config)
+        counts = Counter()
+        staged = gradcheck(f, params, stages=stages, counts=counts)
+        assert staged == gradcheck(f, params)
+        assert counts["full"] == 2 + len(params)  # base, repeat, one per tensor
+        for s, (names, _) in enumerate(stages):
+            assert counts[s] == 2 * sum(params[n].data.size for n in names)
+
+    def test_parameter_named_too_late_is_caught(self):
+        params, f, stages = self._setup(MICRO)
+        moved = [(tuple(n for n in names if n != "cls_token"), fn)
+                 for names, fn in stages]
+        moved[-1] = (moved[-1][0] + ("cls_token",), moved[-1][1])
+        before = params["cls_token"].data.copy()
+        with pytest.raises(DiagnosticError, match="cls_token too late"):
+            gradcheck(f, params, stages=moved)
+        assert params["cls_token"].data.tobytes() == before.tobytes()
+
+    def test_parameter_named_by_no_stage_is_rejected(self):
+        params, f, stages = self._setup(MICRO)
+        dropped = [(tuple(n for n in names if n != "head.bias"), fn)
+                   for names, fn in stages]
+        with pytest.raises(ContractError, match="head.bias"):
+            gradcheck(f, params, stages=dropped)

@@ -8,6 +8,7 @@ from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
                        build_schedule, config_from_dict, config_to_dict,
                        eitp_embed, eitt_branch, encoder_layer, forward,
                        init_params, mha, param_shapes, schedule_for)
+from eit.train import cross_entropy
 
 from oracles import conv2d_loops, vit_layer_loops
 
@@ -337,6 +338,21 @@ class TestForward:
         logits = forward(x, {k: p.detach() for k, p in params.items()}, MICRO)
         assert not logits.requires_grad and logits._parents == ()
         assert (logits.data == forward(x, params, MICRO).data).all()
+
+    def test_micro_training_forward_and_loss_node_count(self, monkeypatch):
+        # splitting each layer into two residual blocks adds no node
+        params = init_params(MICRO, 0)
+        rng = np.random.default_rng(0)
+        made = []
+        from_op = Tensor._from_op
+
+        def counted(data, parents, backward):
+            made.append(1)
+            return from_op(data, parents, backward)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
+        cross_entropy(forward(rng.random((2, 3, 8, 8)), params, MICRO,
+                              train=True, rng=rng), np.array([0, 1]))
+        assert len(made) == 75
 
     def test_wrong_image_size_rejected(self):
         params = init_params(MICRO, 0)

@@ -135,6 +135,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="momentum"):
             train_config_from_dict({"momentum": momentum})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, "
+                                              "got -5"):
+            train_config_from_dict({"seed": -5})
+
     def test_momentum_range_ends(self):
         assert train_config_from_dict({"momentum": 0.0}).momentum == 0.0
         assert train_config_from_dict({"momentum": 0.999}).momentum == 0.999
