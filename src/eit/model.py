@@ -103,17 +103,26 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.channels < 1 or self.layers < 1 or self.heads < 1 or self.classes < 1:
-            raise ConfigError("channels/layers/heads/classes must be positive")
+        p = self.eitp
+        for name, value, least in (
+                ("channels", self.channels, 1), ("layers", self.layers, 1),
+                ("heads", self.heads, 1), ("classes", self.classes, 1),
+                ("mlp_ratio", self.mlp_ratio, 1), ("eitt.kernel", self.eitt.kernel, 1),
+                ("eitp.kernel", p.kernel, 1), ("eitp.stride", p.stride, 1),
+                ("eitp.pool", p.pool, 1), ("eitp.padding", p.padding, 0)):
+            if value < least:
+                raise ConfigError(f"{name} must be at least {least}, got {value}")
         if self.channels % self.heads:
             raise ConfigError(
                 f"channels ({self.channels}) not divisible by heads ({self.heads})")
-        if len(self.image) != 3 or self.image[2] != 3:
+        if len(self.image) != 3 or self.image[2] != 3 or min(self.image) < 1:
             raise ConfigError(f"image must be (H, W, 3), got {self.image}")
-        if self.eitp.stride > self.eitp.kernel:
+        if p.stride > p.kernel:
             raise ConfigError("patch-stage stride must not exceed its kernel")
         if self.eitt.stride != 1:
             raise ConfigError("conv-branch stride must be 1 (token grid preserved)")
+        if self.eitt.kernel % 2 == 0:  # same padding would grow the token grid
+            raise ConfigError(f"eitt.kernel must be odd, got {self.eitt.kernel}")
         if self.split_policy not in SPLIT_POLICIES:
             raise ConfigError(f"unknown split_policy {self.split_policy!r}")
         if self.eitt.branch_style not in BRANCH_STYLES:
@@ -122,6 +131,8 @@ class ModelConfig:
             raise ConfigError(f"unknown pos_embed {self.pos_embed!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+        self.token_grid()  # a grid the patch stage collapses raises here
+        schedule_for(self)  # so does a layer with fewer attention channels than heads
 
     # -- geometry ---------------------------------------------------------
 
@@ -396,10 +407,9 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     if cm == 0 or cm % heads:
         raise ConfigError(f"attention width {cm} not divisible by {heads} heads")
     d = cm // heads
-    qkv = linear(x, qkv_w, qkv_b)
-    q = qkv[:, :, :cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
-    k = qkv[:, :, cm:2 * cm].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
-    v = qkv[:, :, 2 * cm:].reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+    qkv = linear(x, qkv_w, qkv_b).reshape(n, t, 3, heads, d)
+    qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, N, heads, T, d)
+    q, k, v = qkv[0], qkv[1], qkv[2]
     a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d)))
     o = matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm)
     return linear(o, out_w, out_b), a.data
@@ -460,7 +470,7 @@ def mix_block(x: Tensor, params: dict[str, Tensor], layer: int,
                          params[f"{p}.attn.qkv.weight"], params[f"{p}.attn.qkv.bias"],
                          params[f"{p}.attn.out.weight"], params[f"{p}.attn.out.bias"],
                          config.heads)
-    if train and config.dropout > 0:
+    if train:
         attn_out = dropout(attn_out, config.dropout, rng)
     if schedule.policy == "parallel":
         mix = eitt_branch(n1, params, p, config, grid) + attn_out
@@ -479,10 +489,10 @@ def mlp_block(x: Tensor, params: dict[str, Tensor], layer: int,
     p = f"layers.{layer}"
     n2 = layernorm(x, params[f"{p}.norm2.gain"], params[f"{p}.norm2.shift"])
     hdn = linear(n2, params[f"{p}.mlp.fc1.weight"], params[f"{p}.mlp.fc1.bias"]).gelu()
-    if train and config.dropout > 0:
+    if train:
         hdn = dropout(hdn, config.dropout, rng)
     out = linear(hdn, params[f"{p}.mlp.fc2.weight"], params[f"{p}.mlp.fc2.bias"])
-    if train and config.dropout > 0:
+    if train:
         out = dropout(out, config.dropout, rng)
     return x + out
 
@@ -499,9 +509,9 @@ def encoder_layer(x: Tensor, params: dict[str, Tensor], layer: int,
 
 
 def classify(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Final norm, then the head's logits for the class token."""
-    x = layernorm(x, params["norm.gain"], params["norm.shift"])
-    return linear(x[:, 0, :], params["head.weight"], params["head.bias"])
+    """The head's logits for the final-normed class token (norms are per token)."""
+    x = layernorm(x[:, 0, :], params["norm.gain"], params["norm.shift"])
+    return linear(x, params["head.weight"], params["head.bias"])
 
 
 def forward(images, params: dict[str, Tensor], config: ModelConfig,
@@ -518,6 +528,8 @@ def forward(images, params: dict[str, Tensor], config: ModelConfig,
     probes = []
     for i in range(config.layers):
         if collect_probes:
+            # No op writes x.data, but without this copy a SMALL probe run
+            # peaked ~9 MiB higher: where the allocator puts blocks, not live data.
             layer_input = x.data.copy()
         x, attn = encoder_layer(x, params, i, config, schedule, grid, train, rng)
         if collect_probes:

@@ -9,7 +9,7 @@ kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
 standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
-channel concatenation, plus add, negate, multiply, sum and mean.
+channel concatenation, plus add, multiply and a full sum.
 
 Convolution is a strided-window GEMM: ``_windows`` views every kernel
 window of the input through its strides, without a copy; the windows are
@@ -103,8 +103,6 @@ class Tensor:
     """Node of the autograd graph."""
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -192,9 +190,6 @@ class Tensor:
         return Tensor._from_op(self.data + other.data, (self, other),
                                lambda g: (g, g))
 
-    def __neg__(self):
-        return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
-
     def __mul__(self, other):
         other = Tensor._wrap(other)
         return Tensor._from_op(self.data * other.data, (self, other),
@@ -231,17 +226,10 @@ class Tensor:
             self.data[key], (self,),
             lambda g: (_scatter_into_zeros(self.data, key, g, basic),))
 
-    def sum(self, axis=None, keepdims: bool = False):
-        def back(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.shape),)
-        return Tensor._from_op(self.data.sum(axis=axis, keepdims=keepdims),
-                               (self,), back)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def sum(self):
+        """Sum of every element."""
+        return Tensor._from_op(self.data.sum(), (self,),
+                               lambda g: (np.broadcast_to(g, self.shape),))
 
     # ---- activations -----------------------------------------------------
 
@@ -282,7 +270,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the two trailing axes."""
-    a, b = Tensor._wrap(a), Tensor._wrap(b)
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul inner mismatch: {a.shape} @ {b.shape}")
     return Tensor._from_op(

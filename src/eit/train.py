@@ -62,7 +62,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n, k = logits.shape
     if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
         raise ContractError(f"labels do not index {k} classes for batch {n}")
-    return -log_softmax(logits)[np.arange(n), labels].mean()
+    return log_softmax(logits)[np.arange(n), labels].sum() * (-1.0 / n)
 
 
 def cosine_lr(step: int, total_steps: int, base: float, minimum: float) -> float:

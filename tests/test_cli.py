@@ -114,6 +114,35 @@ class TestDescribe:
                      "--out", str(tmp_path)]) == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["describe", "gradcheck"])
+    @pytest.mark.parametrize("override, message", [
+        ({"eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 0}},
+         "eitp.pool must be at least 1"),
+        ({"eitp": {"kernel": 0, "stride": 0}}, "eitp.kernel must be at least 1"),
+        ({"eitp": {"kernel": 3, "stride": 1, "padding": -1}},
+         "eitp.padding must be at least 0"),
+        ({"eitt": {"kernel": 0}}, "eitt.kernel must be at least 1"),
+        ({"eitt": {"kernel": -1}}, "eitt.kernel must be at least 1"),
+        ({"eitt": {"kernel": 2}}, "eitt.kernel must be odd"),
+        ({"eitt": {"kernel": 4}}, "eitt.kernel must be odd"),
+        ({"mlp_ratio": 0}, "mlp_ratio must be at least 1"),
+        ({"mlp_ratio": -1}, "mlp_ratio must be at least 1"),
+        ({"image": [0, 8, 3], "eitp": {"kernel": 3, "stride": 1, "padding": 2}},
+         "image must be (H, W, 3)")],
+        ids=["pool0", "kernel0-stride0", "padding-1", "eitt-kernel0",
+             "eitt-kernel-1", "eitt-kernel2", "eitt-kernel4", "mlp_ratio0",
+             "mlp_ratio-1", "image-height0"])
+    def test_malformed_geometry_exits_1(self, command, override, message,
+                                        tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CFG, **override}))
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheck:
     def test_micro_model_passes(self, micro_cfg, tmp_path, capsys):

@@ -5,12 +5,12 @@ import pytest
 
 from eit.errors import ConfigError, ContractError
 from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
-                       build_schedule, config_from_dict, config_to_dict,
+                       build_schedule, classify, config_from_dict, config_to_dict,
                        eitp_embed, eitt_branch, encoder_layer, forward,
                        init_params, mha, param_shapes, schedule_for)
 from eit.train import cross_entropy
 
-from oracles import conv2d_loops, vit_layer_loops
+from oracles import conv2d_loops, softmax_loops, vit_layer_loops
 
 MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2, image=(8, 8, 3),
                     eitp=PatchStage(3, 1, 1, 2))
@@ -123,6 +123,40 @@ class TestMha:
         v = x @ qkv_w[:, 2 * cm:]
         np.testing.assert_allclose(out.data, np.broadcast_to(v.mean(1), (1, t, cm)),
                                    atol=1e-12)
+
+    def test_gradients_match_a_per_head_computation(self):
+        rng = np.random.default_rng(4)
+        n, t, cm, h = 2, 5, 6, 3
+        d = cm // h
+        x0, g = rng.standard_normal((n, t, cm)), rng.standard_normal((n, t, cm))
+        w0, b0 = rng.standard_normal((cm, 3 * cm)) * 0.5, rng.standard_normal(3 * cm)
+        ow0, ob0 = rng.standard_normal((cm, cm)) * 0.5, rng.standard_normal(cm)
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0, ow0, ob0)]
+        out, _ = mha(*leaves, h)
+        (out * Tensor(g)).sum().backward()
+
+        want = [np.zeros_like(v) for v in (x0, w0, b0, ow0, ob0)]
+        for i in range(n):
+            qkv = x0[i] @ w0 + b0
+            heads_out, gqkv = np.zeros((t, cm)), np.zeros((t, 3 * cm))
+            go = g[i] @ ow0.T
+            for hh in range(h):
+                cols = [slice(j * cm + hh * d, j * cm + (hh + 1) * d) for j in range(3)]
+                q, k, v = (qkv[:, c] for c in cols)
+                a = np.array([softmax_loops(r) for r in q @ k.T / np.sqrt(d)])
+                heads_out[:, cols[0]] = a @ v
+                ga = go[:, cols[0]] @ v.T
+                gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True)) / np.sqrt(d)
+                gqkv[:, cols[0]], gqkv[:, cols[1]] = gs @ k, gs.T @ q
+                gqkv[:, cols[2]] = a.T @ go[:, cols[0]]
+            np.testing.assert_allclose(out.data[i], heads_out @ ow0 + ob0, atol=1e-12)
+            want[0][i] = gqkv @ w0.T
+            want[1] += x0[i].T @ gqkv
+            want[2] += gqkv.sum(axis=0)
+            want[3] += heads_out.T @ g[i]
+            want[4] += g[i].sum(axis=0)
+        for leaf, w in zip(leaves, want):
+            np.testing.assert_allclose(leaf.grad, w, atol=1e-12)
 
     def test_two_token_hand_computation(self):
         # 1 head, d=1: out = softmax(q k^T / 1) v
@@ -339,9 +373,9 @@ class TestForward:
         assert not logits.requires_grad and logits._parents == ()
         assert (logits.data == forward(x, params, MICRO).data).all()
 
-    def test_micro_training_forward_and_loss_node_count(self, monkeypatch):
-        # splitting each layer into two residual blocks adds no node
-        params = init_params(MICRO, 0)
+    @staticmethod
+    def _training_node_count(monkeypatch, cfg) -> int:
+        params = init_params(cfg, 0)
         rng = np.random.default_rng(0)
         made = []
         from_op = Tensor._from_op
@@ -350,9 +384,26 @@ class TestForward:
             made.append(1)
             return from_op(data, parents, backward)
         monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
-        cross_entropy(forward(rng.random((2, 3, 8, 8)), params, MICRO,
+        cross_entropy(forward(rng.random((2, 3, 8, 8)), params, cfg,
                               train=True, rng=rng), np.array([0, 1]))
-        assert len(made) == 75
+        return len(made)
+
+    def test_micro_training_forward_and_loss_node_count(self, monkeypatch):
+        # splitting each layer into two residual blocks adds no node
+        assert self._training_node_count(monkeypatch, MICRO) == 66
+
+    def test_micro_parallel_training_forward_and_loss_node_count(self, monkeypatch):
+        assert self._training_node_count(
+            monkeypatch, micro(split_policy="parallel")) == 73
+
+    def test_classify_reads_only_the_class_token(self):
+        params = init_params(MICRO, 0)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, MICRO.token_count(), MICRO.channels))
+        noisy = x.copy()
+        noisy[:, 1:] = rng.standard_normal(noisy[:, 1:].shape)
+        assert np.array_equal(classify(Tensor(noisy), params).data,
+                              classify(Tensor(x), params).data)
 
     def test_wrong_image_size_rejected(self):
         params = init_params(MICRO, 0)

@@ -431,7 +431,10 @@ class TestLinear:
             linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
                    Tensor(np.zeros(4)))
 
-    def test_small_training_forward_graph_size(self, monkeypatch):
+    @staticmethod
+    def _small_batch_node_count(monkeypatch, run) -> int:
+        """Nodes made by ``run(images, labels, params, config)`` on a SMALL
+        batch of 16."""
         cfg = config_from_dict({
             "channels": 250, "layers": 5, "heads": 10, "classes": 10,
             "image": [32, 32, 3],
@@ -446,8 +449,20 @@ class TestLinear:
             made.append(data)
             return from_op(data, parents, backward)
         monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
-        cross_entropy(forward(images, params, cfg, train=True, rng=rng), labels)
-        assert len(made) == 183
+        run(images, labels, params, cfg)
+        return len(made)
+
+    def test_small_training_forward_graph_size(self, monkeypatch):
+        def step(images, labels, params, cfg):
+            rng = np.random.default_rng(0)
+            cross_entropy(forward(images, params, cfg, train=True, rng=rng), labels)
+        assert self._small_batch_node_count(monkeypatch, step) == 162
+
+    def test_small_probe_forward_graph_size(self, monkeypatch):
+        # the training count less the loss's log_softmax, pick, sum and scale
+        def probe(images, labels, params, cfg):
+            forward(images, params, cfg, collect_probes=True)
+        assert self._small_batch_node_count(monkeypatch, probe) == 158
 
 
 class TestGradientScatter:
