@@ -8,13 +8,10 @@ and multi-head attention according to a per-layer schedule; the default
 to pure attention at the last layer.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from typing import get_type_hints
 
 import numpy as np
 
@@ -24,9 +21,9 @@ from .tensor import (ConvSpec, Tensor, concat, conv2d, dropout, layernorm,
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
-# "conv*" is a stride-1 same-padded conv over the token grid (depthwise, or
-# full width under the parallel policy), "fc" a token-wise linear map, "bn"
-# a batch norm on current-batch statistics, "gelu"/"relu" activations.
+# "conv*" is a stride-1 same-padded conv over the token grid, "fc" a
+# token-wise linear map, "bn" a batch norm on current-batch statistics,
+# "gelu"/"relu" activations. ``branch_layout`` gives each step's parameters.
 BRANCH_STEPS = {"conv": ("conv",),
                 "conv3": ("conv0", "conv1", "conv2"),
                 "gelu_conv_fc": ("gelu", "conv", "fc"),
@@ -40,15 +37,15 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-# Annotation -> (accepts a value, what the error message asks for).
+# Field type -> (accepts a value, what the error message asks for).
 _FIELD_TYPES = {
-    "int": (_is_int, "integer"),
-    "tuple[int, int, int]": (
+    int: (_is_int, "integer"),
+    tuple[int, int, int]: (
         lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
         "a list of integers"),
-    "float": (lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
-              "a number"),
-    "bool": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
+            "a number"),
+    bool: (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
 }
 
 
@@ -112,9 +109,6 @@ class ModelConfig:
                 ("eitp.pool", p.pool, 1), ("eitp.padding", p.padding, 0)):
             if value < least:
                 raise ConfigError(f"{name} must be at least {least}, got {value}")
-        if self.channels % self.heads:
-            raise ConfigError(
-                f"channels ({self.channels}) not divisible by heads ({self.heads})")
         if len(self.image) != 3 or self.image[2] != 3 or min(self.image) < 1:
             raise ConfigError(f"image must be (H, W, 3), got {self.image}")
         if p.stride > p.kernel:
@@ -123,8 +117,6 @@ class ModelConfig:
             raise ConfigError("conv-branch stride must be 1 (token grid preserved)")
         if self.eitt.kernel % 2 == 0:  # same padding would grow the token grid
             raise ConfigError(f"eitt.kernel must be odd, got {self.eitt.kernel}")
-        if self.split_policy not in SPLIT_POLICIES:
-            raise ConfigError(f"unknown split_policy {self.split_policy!r}")
         if self.eitt.branch_style not in BRANCH_STYLES:
             raise ConfigError(f"unknown branch_style {self.eitt.branch_style!r}")
         if self.pos_embed not in POS_EMBED_MODES:
@@ -132,7 +124,9 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         self.token_grid()  # a grid the patch stage collapses raises here
-        schedule_for(self)  # so does a layer with fewer attention channels than heads
+        # so do channels not divisible by heads, an unknown split policy and
+        # a layer with fewer attention channels than heads
+        schedule_for(self)
 
     # -- geometry ---------------------------------------------------------
 
@@ -181,11 +175,10 @@ def from_dict(cls, doc, where: str):
                f.default is MISSING and f.default_factory is MISSING}
     if missing:
         raise ConfigError(f"missing {where} keys: {sorted(missing)}")
-    types = get_type_hints(cls)
     kwargs = {}
     for name, value in doc.items():
-        if is_dataclass(types[name]):
-            value = from_dict(types[name], value, name)
+        if is_dataclass(specs[name].type):
+            value = from_dict(specs[name].type, value, name)
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[name] = value
@@ -214,7 +207,6 @@ class SplitSchedule:
     gets attn[i]. For the parallel policy both equal the full width."""
     conv: tuple[int, ...]
     attn: tuple[int, ...]
-    policy: str
 
 
 def build_schedule(channels: int, heads: int, layers: int,
@@ -236,7 +228,7 @@ def build_schedule(channels: int, heads: int, layers: int,
     if policy == "none":
         conv = [0] * layers
     elif policy == "parallel":
-        return SplitSchedule((channels,) * layers, (channels,) * layers, policy)
+        return SplitSchedule((channels,) * layers, (channels,) * layers)
     elif policy == "invariant":
         conv = [channels - (channels // heads // 2) * heads] * layers
     else:
@@ -249,7 +241,7 @@ def build_schedule(channels: int, heads: int, layers: int,
         raise ConfigError(
             f"schedule gives a layer fewer attention channels ({min(attn)}) "
             f"than heads ({heads})")
-    return SplitSchedule(tuple(conv), tuple(attn), policy)
+    return SplitSchedule(tuple(conv), tuple(attn))
 
 
 def schedule_for(config: ModelConfig) -> SplitSchedule:
@@ -257,22 +249,35 @@ def schedule_for(config: ModelConfig) -> SplitSchedule:
                           config.split_policy)
 
 
-def _branch_steps(config: ModelConfig, width: int) -> tuple[tuple[str, ...], int]:
-    """The steps of a conv branch of the given width and its conv groups:
-    one full standard conv under the parallel policy, else the configured
-    style's depthwise steps."""
+def branch_layout(config: ModelConfig, width: int
+                  ) -> list[tuple[str, list[tuple[str, tuple[int, ...], str]]]]:
+    """The conv branch of the given width as its ordered steps, each a step
+    name from BRANCH_STEPS and that step's parameters as (suffix, shape,
+    init_kind): no steps at width 0, one full-width standard conv under the
+    parallel policy, else the configured style's steps with depthwise convs.
+    A conv that a batch norm follows has no bias: the norm subtracts the
+    batch mean, so a bias would get a zero gradient and have no effect."""
     if width == 0:
-        return (), 1
-    if config.split_policy == "parallel":
-        return ("conv",), 1
-    return BRANCH_STEPS[config.eitt.branch_style], width
-
-
-def _conv_has_bias(steps: tuple[str, ...], j: int) -> bool:
-    """Whether conv step j has a bias: not when a batch norm follows it,
-    which subtracts the batch mean and so would give the bias a zero
-    gradient and no effect."""
-    return steps[j + 1:j + 2] != ("bn",)
+        return []
+    parallel = config.split_policy == "parallel"
+    steps = ("conv",) if parallel else BRANCH_STEPS[config.eitt.branch_style]
+    kt = config.eitt.kernel
+    out = []
+    for j, step in enumerate(steps):
+        if step.startswith("conv"):
+            shapes = [(f"{step}.weight", (width, width if parallel else 1, kt, kt),
+                       "conv")]
+            if steps[j + 1:j + 2] != ("bn",):
+                shapes.append((f"{step}.bias", (width,), "zeros"))
+        elif step == "fc":
+            shapes = [("fc.weight", (width, width), "proj"),
+                      ("fc.bias", (width,), "zeros")]
+        elif step == "bn":
+            shapes = [("bn.gain", (width,), "ones"), ("bn.shift", (width,), "zeros")]
+        else:
+            shapes = []
+        out.append((step, shapes))
+    return out
 
 
 # -- parameters ------------------------------------------------------------
@@ -284,7 +289,6 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
     both initialization and the analytic parameter count."""
     c = config.channels
     k = config.eitp.kernel
-    kt = config.eitt.kernel
     ratio = config.mlp_ratio
     sched = schedule_for(config)
     out = [("eitp.weight", (c, 3, k, k), "patch_embed", "conv"),
@@ -301,19 +305,9 @@ def param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str, s
                 (f"{p}.attn.qkv.bias", (3 * cm,), "attention", "zeros"),
                 (f"{p}.attn.out.weight", (cm, cm), "attention", "proj"),
                 (f"{p}.attn.out.bias", (cm,), "attention", "zeros")]
-        steps, groups = _branch_steps(config, ct)
-        for j, step in enumerate(steps):
-            if step.startswith("conv"):
-                out.append((f"{p}.{step}.weight", (ct, ct // groups, kt, kt),
-                            "conv_branch", "conv"))
-                if _conv_has_bias(steps, j):
-                    out.append((f"{p}.{step}.bias", (ct,), "conv_branch", "zeros"))
-            elif step == "fc":
-                out += [(f"{p}.fc.weight", (ct, ct), "conv_branch", "proj"),
-                        (f"{p}.fc.bias", (ct,), "conv_branch", "zeros")]
-            elif step == "bn":
-                out += [(f"{p}.bn.gain", (ct,), "conv_branch", "ones"),
-                        (f"{p}.bn.shift", (ct,), "conv_branch", "zeros")]
+        out += [(f"{p}.{suffix}", shape, "conv_branch", kind)
+                for _, shapes in branch_layout(config, ct)
+                for suffix, shape, kind in shapes]
         out += [(f"{p}.norm2.gain", (c,), "norm", "ones"),
                 (f"{p}.norm2.shift", (c,), "norm", "zeros"),
                 (f"{p}.mlp.fc1.weight", (c, ratio * c), "mlp", "proj"),
@@ -415,8 +409,8 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     return linear(o, out_w, out_b), a.data
 
 
-def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor | None,
-               spec: ConvSpec, grid: tuple[int, int]) -> Tensor:
+def _grid_conv(tokens: Tensor, spec: ConvSpec, grid: tuple[int, int],
+               weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Apply a spatial conv to patch tokens laid out row-major on the grid."""
     n, p, c = tokens.shape
     h0, w0 = grid
@@ -427,29 +421,27 @@ def _grid_conv(tokens: Tensor, weight: Tensor, bias: Tensor | None,
 
 def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
                 config: ModelConfig, grid: tuple[int, int]) -> Tensor:
-    """Convolution branch over (N, T, C_T): the steps of BRANCH_STEPS in
-    order. The class token (index 0) has no grid position and bypasses the
-    branch untouched."""
+    """Convolution branch over (N, T, C_T): the steps of ``branch_layout``
+    in order. The class token (index 0) has no grid position and bypasses
+    the branch untouched."""
     n, t, ct = x.shape
     h0, w0 = grid
     if t - 1 != h0 * w0:
         raise ContractError(f"{t - 1} patch tokens do not fill a {h0}x{w0} grid")
-    steps, groups = _branch_steps(config, ct)
+    steps = branch_layout(config, ct)
     if not steps:
         return x
-    kt = config.eitt.kernel
-    spec = ConvSpec(kt, kt, 1, kt // 2, groups, ct, ct)
     y = x[:, 1:, :]
-    for j, step in enumerate(steps):
+    for step, shapes in steps:
+        p = [params[f"{prefix}.{suffix}"] for suffix, _, _ in shapes]
         if step.startswith("conv"):
-            bias = (params[f"{prefix}.{step}.bias"]
-                    if _conv_has_bias(steps, j) else None)
-            y = _grid_conv(y, params[f"{prefix}.{step}.weight"], bias, spec, grid)
+            _, per_group, kh, kw = shapes[0][1]  # weight (C_T, C_T / groups, k, k)
+            spec = ConvSpec(kh, kw, 1, kh // 2, ct // per_group, ct, ct)
+            y = _grid_conv(y, spec, grid, *p)
         elif step == "fc":
-            y = linear(y, params[f"{prefix}.fc.weight"], params[f"{prefix}.fc.bias"])
+            y = linear(y, *p)
         elif step == "bn":
-            y = normalize(y, (0, 1), params[f"{prefix}.bn.gain"],
-                          params[f"{prefix}.bn.shift"], 1e-5)
+            y = normalize(y, (0, 1), *p, 1e-5)
         else:
             y = getattr(y, step)()
     return concat([x[:, 0:1, :], y], axis=1)
@@ -472,7 +464,7 @@ def mix_block(x: Tensor, params: dict[str, Tensor], layer: int,
                          config.heads)
     if train:
         attn_out = dropout(attn_out, config.dropout, rng)
-    if schedule.policy == "parallel":
+    if config.split_policy == "parallel":
         mix = eitt_branch(n1, params, p, config, grid) + attn_out
     elif ct == 0:
         mix = attn_out

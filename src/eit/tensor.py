@@ -198,8 +198,6 @@ class Tensor:
     # ---- shape ops -------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.shape
         return Tensor._from_op(self.data.reshape(shape), (self,),
                                lambda g: (g.reshape(old),))

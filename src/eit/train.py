@@ -3,8 +3,6 @@ rate, seeded shuffling and optional horizontal flip. Small by design; it
 exists to exercise gradients end to end and to produce checkpoints the
 probes can read."""
 
-from __future__ import annotations
-
 import csv
 import math
 import os

@@ -128,10 +128,17 @@ class TestDescribe:
         ({"mlp_ratio": 0}, "mlp_ratio must be at least 1"),
         ({"mlp_ratio": -1}, "mlp_ratio must be at least 1"),
         ({"image": [0, 8, 3], "eitp": {"kernel": 3, "stride": 1, "padding": 2}},
-         "image must be (H, W, 3)")],
+         "image must be (H, W, 3)"),
+        ({"eitt": {"branch_style": "zigzag"}}, "unknown branch_style 'zigzag'"),
+        ({"pos_embed": "sinusoid"}, "unknown pos_embed 'sinusoid'"),
+        ({"dropout": 1.0}, "dropout 1.0 outside [0, 1)"),
+        ({"dropout": -0.1}, "dropout -0.1 outside [0, 1)"),
+        ({"split_policy": "zigzag"}, "unknown split policy 'zigzag'")],
         ids=["pool0", "kernel0-stride0", "padding-1", "eitt-kernel0",
              "eitt-kernel-1", "eitt-kernel2", "eitt-kernel4", "mlp_ratio0",
-             "mlp_ratio-1", "image-height0"])
+             "mlp_ratio-1", "image-height0", "branch_style-zigzag",
+             "pos_embed-sinusoid", "dropout1", "dropout-0.1",
+             "split_policy-zigzag"])
     def test_malformed_geometry_exits_1(self, command, override, message,
                                         tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -161,6 +168,19 @@ class TestGradcheck:
         assert len(manifest["resumed_at_stage"]) == 2 * config.layers + 2
         assert sum(manifest["resumed_at_stage"]) == 2 * total
         assert manifest["evaluations"] == 2 * total + 2 + len(param_shapes(config))
+
+    def test_failure_exits_2_and_writes_its_report(self, micro_cfg, tmp_path,
+                                                   capsys):
+        # a step of 0.1 leaves a central-difference error far above the tolerance
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--config", micro_cfg, "--step", "0.1",
+                     "--out", str(out)]) == 2
+        assert "gradcheck FAILED" in capsys.readouterr().err
+        doc = json.loads((out / "gradcheck.json").read_text())
+        assert doc["passed"] is False and doc["step"] == 0.1
+        assert doc["worst"]["error"] > doc["tolerance"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "gradcheck" and manifest["seed"] == 0
 
     @pytest.mark.parametrize("step", ["nan", "inf"])
     def test_non_finite_step_exits_1(self, step, micro_cfg, tmp_path, capsys):

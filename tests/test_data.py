@@ -115,6 +115,19 @@ class TestRawFormat:
         with pytest.raises(LoadError, match="row 2.*'x'"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([], "lists no samples"),
+        ([["img_00000.raw", 0], ["img_00001.raw"]], "row 2 missing filename/label"),
+        ([["img_00000.raw", 0], ["img_00001.raw", -1]], "negative label")],
+        ids=["header-only", "no-label", "negative-label"])
+    def test_malformed_labels_rows(self, rows, message, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(2, 8, seed=0), d)
+        with open(d / "labels.csv", "w", newline="") as f:
+            csv.writer(f).writerows([["filename", "label"], *rows])
+        with pytest.raises(LoadError, match=message):
+            load_dataset(d)
+
     @pytest.mark.parametrize("name", ["absolute", "../x.raw"])
     def test_filename_outside_the_dataset(self, name, tmp_path):
         d = tmp_path / "d"

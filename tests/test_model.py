@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from eit.errors import ConfigError, ContractError
-from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
+from eit.model import (BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES,
+                       ConvBranch, ModelConfig, PatchStage, Tensor,
                        build_schedule, classify, config_from_dict, config_to_dict,
                        eitp_embed, eitt_branch, encoder_layer, forward,
                        init_params, mha, param_shapes, schedule_for)
@@ -395,6 +396,25 @@ class TestForward:
     def test_micro_parallel_training_forward_and_loss_node_count(self, monkeypatch):
         assert self._training_node_count(
             monkeypatch, micro(split_policy="parallel")) == 73
+
+    @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
+    @pytest.mark.parametrize("style", BRANCH_STYLES)
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_forward_reads_exactly_the_declared_params(self, policy, style,
+                                                       pos_embed):
+        """param_shapes and the forward pass name the same tensors: one
+        declared but never read, or read but never declared, fails here."""
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        cfg = micro(split_policy=policy, eitt=ConvBranch(branch_style=style),
+                    pos_embed=pos_embed)
+        read = set()
+        forward(np.random.default_rng(6).random((2, 3, 8, 8)),
+                Recording(init_params(cfg, 0)), cfg)
+        assert read == {name for name, *_ in param_shapes(cfg)}
 
     def test_classify_reads_only_the_class_token(self):
         params = init_params(MICRO, 0)

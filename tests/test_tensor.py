@@ -9,9 +9,9 @@ from scipy.special import erf
 from eit.errors import ContractError, GeometryError
 from eit.gradcheck import gradcheck
 from eit.model import config_from_dict, forward, init_params
-from eit.tensor import (ConvSpec, Tensor, _windows, concat, conv2d, layernorm,
-                        linear, log_softmax, matmul, maxpool2d, normalize,
-                        softmax_rows)
+from eit.tensor import (ConvSpec, Tensor, _windows, concat, conv2d, dropout,
+                        layernorm, linear, log_softmax, matmul, maxpool2d,
+                        normalize, softmax_rows)
 from eit.train import cross_entropy
 
 from oracles import conv2d_loops, matmul_loops, maxpool_loops
@@ -524,6 +524,54 @@ class TestGelu:
         dens = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
         assert y.data.tobytes() == (x * phi).tobytes()
         assert gx.tobytes() == (g * (phi + x * dens)).tobytes()
+
+
+class TestDropout:
+    MICRO = {"channels": 8, "layers": 2, "heads": 2, "classes": 2,
+             "image": [8, 8, 3], "dropout": 0.1,
+             "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 2}}
+
+    def test_output_and_gradient_scale_the_kept_entries(self):
+        rate = 0.3
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)
+        g = rng.standard_normal(x.shape)
+        mask = np.random.default_rng(7).random(x.shape) >= rate
+        assert 0 < mask.mean() < 1
+        y = dropout(x, rate, np.random.default_rng(7))
+        (y * Tensor(g)).sum().backward()
+        assert y.data.tobytes() == (x.data * (mask / (1.0 - rate))).tobytes()
+        assert x.grad.tobytes() == (g * (mask / (1.0 - rate))).tobytes()
+
+    def test_rate_zero_returns_its_input_and_draws_nothing(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert dropout(x, 0.0, rng) is x
+        assert rng.bit_generator.state == state
+
+    def test_micro_training_forward_reruns_bitwise(self):
+        cfg = config_from_dict(self.MICRO)
+        params = init_params(cfg, 0)
+        images = np.random.default_rng(0).random((2, 3, 8, 8))
+
+        def run(seed):
+            return forward(images, params, cfg, train=True,
+                           rng=np.random.default_rng(seed)).data
+        assert run(4).tobytes() == run(4).tobytes()
+        assert run(4).tobytes() != run(5).tobytes()
+        assert not np.array_equal(run(4), forward(images, params, cfg).data)
+
+    def test_gradcheck_with_the_mask_reseeded_in_f(self):
+        cfg = config_from_dict(dict(self.MICRO, channels=4, layers=1,
+                                    image=[4, 4, 3], dropout=0.2))
+        params = init_params(cfg, 1)
+        images = np.random.default_rng(1).random((2, 3, 4, 4))
+        labels = np.array([0, 1])
+        report = gradcheck(lambda: cross_entropy(forward(
+            images, params, cfg, train=True, rng=np.random.default_rng(2)),
+            labels), params)
+        assert max(report.values()) <= 1e-4, report
 
 
 class TestGlue:
