@@ -16,8 +16,8 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import LoadError
-from .model import ModelConfig, Tensor, check_param_shapes, config_from_dict, \
-    config_to_dict
+from .model import ModelConfig, Tensor, config_from_dict, config_to_dict, \
+    param_shapes
 
 MAGIC = b"EITCKPT1"
 _F64 = np.dtype("<f8")
@@ -78,8 +78,7 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
             raise LoadError(f"{path}: tensor {name} payload out of range")
         data = np.frombuffer(blob, _F64, count, base + start).reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
-    try:
-        check_param_shapes(params, config)
-    except Exception as e:
-        raise LoadError(f"{path}: tensors do not match config: {e}") from e
+    expected = {name: shape for name, shape, _, _ in param_shapes(config)}
+    if {name: t.shape for name, t in params.items()} != expected:
+        raise LoadError(f"{path}: parameter tensors do not match the config")
     return params, config

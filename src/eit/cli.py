@@ -113,13 +113,13 @@ def cmd_describe(args) -> int:
         print(f"{name:12s} {cost.params:12d} {cost.macs:16d} {cost.flops:16d}")
     print(f"{'total':12s} {report.total_params:12d} {report.total_macs:16d} "
           f"{report.total_flops:16d}")
-    print(f"convention: {report.flop_convention}")
+    print(f"convention: {costs.FLOP_CONVENTION}")
 
     doc = {"config": config_to_dict(config),
            "schedule": {"conv": list(sched.conv), "attn": list(sched.attn)},
            "tokens": config.token_count(),
            "vit_equivalent_geometry": vit_like,
-           "flop_convention": report.flop_convention,
+           "flop_convention": costs.FLOP_CONVENTION,
            "components": {name: {"params": c.params, "macs": c.macs,
                                  "flops": c.flops}
                           for name, c in report.components.items()},

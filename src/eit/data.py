@@ -107,9 +107,13 @@ def load_dataset(path, limit: int | None = None) -> Dataset:
     try:
         with open(sidecar) as f:
             dims = json.load(f)
-        h, w = int(dims["height"]), int(dims["width"])
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # last: nested too deep
         raise LoadError(f"bad or missing sidecar {sidecar}: {e}") from e
+    h, w = (dims.get(key) if isinstance(dims, dict) else None
+            for key in ("height", "width"))
+    if type(h) is not int or type(w) is not int:  # no float, bool or null
+        raise LoadError(f"bad sidecar {sidecar}: height and width must be "
+                        "integers")
     if h < 1 or w < 1:
         raise LoadError(f"{sidecar}: image size {h}x{w} is not positive")
     try:

@@ -361,13 +361,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
-def check_param_shapes(params: dict[str, Tensor], config: ModelConfig):
-    expected = {name: shape for name, shape, _, _ in param_shapes(config)}
-    got = {name: tuple(t.shape) for name, t in params.items()}
-    if expected != got:
-        raise ContractError("parameter tensors do not match the config")
-
-
 # -- forward pass ----------------------------------------------------------
 
 

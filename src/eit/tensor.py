@@ -203,8 +203,6 @@ class Tensor:
                                lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = [0] * len(axes)
         for i, a in enumerate(axes):
             inv[a] = i

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from eit import checkpoint, probes
-from eit.costs import (count_flops, count_params, depthwise_branch_macs,
-                       mha_attention_macs, mha_projection_macs)
+from eit.costs import count_flops, count_params
 from eit.data import Dataset, generate_synthetic
 from eit.gradcheck import gradcheck, worst_offender
-from eit.model import (ModelConfig, PatchStage, Tensor, build_schedule,
-                       conv2d, eitt_branch, encoder_layer, forward,
-                       init_params, maxpool2d, mha, schedule_for)
+from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
+                       build_schedule, conv2d, eitt_branch, encoder_layer,
+                       forward, init_params, maxpool2d, mha, schedule_for)
 from eit.model import ConvSpec
 from eit.tensor import matmul, softmax_rows
 from eit.train import TrainConfig, cross_entropy, train
@@ -61,17 +60,26 @@ def test_2_flop_counts_and_scaling():
     with criterion(2, "FLOP counts and scaling laws"):
         flops = count_flops(SMALL).total_flops
         assert abs(flops - 0.428e9) / 0.428e9 < 0.20
-        # conv branch linear in k^2, C, T
-        base = depthwise_branch_macs(64, 32, 3)
-        assert depthwise_branch_macs(128, 32, 3) == 2 * base
-        assert depthwise_branch_macs(64, 64, 3) == 2 * base
-        assert depthwise_branch_macs(64, 32, 6) == 4 * base
-        # attention: projections 4C^2T, scores 2T^2C
-        t, c = 65, 128
-        assert mha_projection_macs(2 * t, c) == 2 * mha_projection_macs(t, c)
-        assert mha_projection_macs(t, 2 * c) == 4 * mha_projection_macs(t, c)
-        assert mha_attention_macs(2 * t, c) == 4 * mha_attention_macs(t, c)
-        assert mha_attention_macs(t, 2 * c) == 2 * mha_attention_macs(t, c)
+        # conv branch linear in patches T - 1, width C_T and k^2: the
+        # invariant policy gives a C / 2 wide depthwise branch
+        def branch_macs(image=(8, 8, 3), channels=8, kernel=3):
+            cfg = dataclasses.replace(MICRO, image=image, channels=channels,
+                                      split_policy="invariant",
+                                      eitt=ConvBranch(kernel=kernel))
+            return count_flops(cfg).components["conv_branch"].macs
+        base = branch_macs()
+        assert base > 0
+        assert branch_macs(image=(16, 8, 3)) == 2 * base
+        assert branch_macs(channels=16) == 2 * base
+        assert branch_macs(kernel=9) == 9 * base
+        # attention with no conv share: projections 4C^2T, scores 2T^2C
+        for image in ((8, 8, 3), (16, 16, 3)):
+            for c in (8, 16):
+                cfg = dataclasses.replace(MICRO, image=image, channels=c,
+                                          split_policy="none")
+                t = cfg.token_count()
+                assert count_flops(cfg).components["attention"].macs == \
+                    cfg.layers * (4 * c * c * t + 2 * t * t * c)
 
 
 def test_3_gradient_correctness():

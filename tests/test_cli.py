@@ -361,6 +361,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "probe")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_probe_malformed_sidecar_exits_1(self, micro_run, tmp_path, capsys):
+        ckpt, data = micro_run
+        (data / "dataset.json").write_text("[]")
+        assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "probe")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_divergent_train_still_writes_manifest(self, tiny_cfg, tmp_path):
         data = tmp_path / "data"
         main(["gen-data", "--out", str(data), "--n", "8", "--size", "16"])

@@ -1,12 +1,13 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
-from eit.costs import (cost_report, count_flops, count_params,
-                       depthwise_branch_macs, mha_attention_macs, mha_macs,
-                       mha_projection_macs, mlp_macs)
-from eit.model import ConvBranch, ModelConfig, PatchStage, init_params
-from eit.model import BRANCH_STYLES, SPLIT_POLICIES
+import eit.model
+from eit.costs import cost_report, count_flops, count_params
+from eit.model import ConvBranch, ModelConfig, PatchStage, forward, init_params
+from eit.model import BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES
 
 VARIANTS = {
     "mini": (ModelConfig(channels=250, layers=5, heads=10, classes=1000,
@@ -83,30 +84,19 @@ class TestFlops:
         assert abs(flops - 0.887e9) / 0.887e9 < 0.20
         assert count_params(cfg).total_params == pytest.approx(6.589e6, rel=0.03)
 
-    def test_conv_branch_linear_in_tokens_and_channels(self):
-        base = depthwise_branch_macs(64, 32, 3)
-        assert depthwise_branch_macs(128, 32, 3) == 2 * base
-        assert depthwise_branch_macs(64, 64, 3) == 2 * base
-        assert depthwise_branch_macs(64, 32, 6) == 4 * base
-
-    def test_attention_scaling_shape(self):
-        t, c = 65, 128
-        assert mha_projection_macs(2 * t, c) == 2 * mha_projection_macs(t, c)
-        assert mha_projection_macs(t, 2 * c) == 4 * mha_projection_macs(t, c)
-        assert mha_attention_macs(2 * t, c) == 4 * mha_attention_macs(t, c)
-        assert mha_attention_macs(t, 2 * c) == 2 * mha_attention_macs(t, c)
-        assert mha_macs(t, c) == 4 * c * c * t + 2 * t * t * c
-
     def test_vit_equivalent_per_layer_cost(self):
         # with no conv share the per-layer cost reduces to the plain ViT
-        # 4C^2T + 2T^2C attention MACs plus 8C^2T MLP MACs
-        report = count_flops(SMALL_VIT)
-        t, c = SMALL_VIT.token_count(), SMALL_VIT.channels
-        layers = SMALL_VIT.layers
-        assert report.components["attention"].macs == layers * (
-            4 * c * c * t + 2 * t * t * c)
-        assert report.components["mlp"].macs == layers * mlp_macs(t, c, 4)
-        assert report.components["conv_branch"].macs == 0
+        # 4C^2T + 2T^2C attention MACs plus 8C^2T MLP MACs, at two token
+        # counts and two widths
+        for image in ((32, 32, 3), (64, 64, 3)):
+            for c in (250, 500):
+                cfg = dataclasses.replace(SMALL_VIT, image=image, channels=c)
+                report = count_flops(cfg)
+                t, layers = cfg.token_count(), cfg.layers
+                assert report.components["attention"].macs == layers * (
+                    4 * c * c * t + 2 * t * t * c)
+                assert report.components["mlp"].macs == layers * 8 * c * c * t
+                assert report.components["conv_branch"].macs == 0
 
     def test_patch_stage_exact_formula(self):
         # conv output positions x channels x (3 * k^2) multiplies
@@ -122,25 +112,58 @@ class TestConvBranchMacs:
     @pytest.mark.parametrize("style", BRANCH_STYLES)
     @pytest.mark.parametrize("policy", SPLIT_POLICIES)
     def test_exact_closed_form(self, style, policy):
-        # C=8, L=3, h=2, 8x8 image, k=3 s=1 p=1 pool=2: 4x4 grid, 16 patches;
-        # conv widths decreasing (6, 4, 0), increasing (0, 4, 6),
-        # invariant (4, 4, 4), parallel (8, 8, 8), none (0, 0, 0)
-        cfg = dataclasses.replace(MICRO, channels=8, layers=3, split_policy=policy,
-                                  eitt=ConvBranch(kernel=5, branch_style=style))
+        # C=8, L=3, h=2, k=3 s=1 p=1 pool=2: an 8x8 image gives a 4x4 grid
+        # of 16 patches, a 16x8 image 8x4 = 32; conv widths decreasing
+        # (6, 4, 0), increasing (0, 4, 6), invariant (4, 4, 4), parallel
+        # (8, 8, 8), none (0, 0, 0). A depthwise conv does k^2 MACs per
+        # channel per patch, so the branch is linear in patches, width, k^2.
         widths = {"decreasing": (6, 4, 0), "increasing": (0, 4, 6),
                   "invariant": (4, 4, 4), "parallel": (8, 8, 8),
                   "none": (0, 0, 0)}[policy]
-        patches, k = 16, 5
-        expected = 0
-        for ct in widths:
-            if policy == "parallel":
-                expected += k * k * 8 * 8 * patches
-            elif ct == 0 or style == "none":
-                continue
-            elif style == "conv3":
-                expected += 3 * depthwise_branch_macs(patches, ct, k)
-            elif style == "gelu_conv_fc":
-                expected += depthwise_branch_macs(patches, ct, k) + patches * ct * ct
-            else:
-                expected += depthwise_branch_macs(patches, ct, k)
-        assert count_flops(cfg).components["conv_branch"].macs == expected
+        for image, patches, k in (((8, 8, 3), 16, 5), ((16, 8, 3), 32, 3)):
+            cfg = dataclasses.replace(MICRO, channels=8, layers=3, image=image,
+                                      split_policy=policy,
+                                      eitt=ConvBranch(kernel=k, branch_style=style))
+            expected = 0
+            for ct in widths:
+                depthwise = k * k * ct * patches
+                if policy == "parallel":
+                    expected += k * k * 8 * 8 * patches
+                elif ct == 0 or style == "none":
+                    continue
+                elif style == "conv3":
+                    expected += 3 * depthwise
+                elif style == "gelu_conv_fc":
+                    expected += depthwise + patches * ct * ct
+                else:
+                    expected += depthwise
+            assert count_flops(cfg).components["conv_branch"].macs == expected
+
+
+class TestKernelMacs:
+    @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
+    @pytest.mark.parametrize("style", BRANCH_STYLES)
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_count_equals_kernels_run(self, policy, style, pos_embed, monkeypatch):
+        # the analytic total against the MACs implied by the shapes of every
+        # linear, matmul and conv2d one batch-1 forward actually runs
+        cfg = dataclasses.replace(MICRO, channels=8, layers=3, split_policy=policy,
+                                  pos_embed=pos_embed,
+                                  eitt=ConvBranch(branch_style=style))
+        macs = []
+
+        def count(name, inner):  # MACs per output element
+            kernel = getattr(eit.model, name)
+
+            def counted(*args):
+                out = kernel(*args)
+                macs.append(math.prod(out.shape) * inner(*args))
+                return out
+            monkeypatch.setattr(eit.model, name, counted)
+
+        count("linear", lambda x, weight, bias: weight.shape[0])
+        count("matmul", lambda a, b: a.shape[-1])
+        count("conv2d", lambda x, weight, bias, spec: math.prod(weight.shape[1:]))
+        images = np.random.default_rng(0).random((1, 3, 8, 8))
+        forward(images, init_params(cfg, 0), cfg)
+        assert sum(macs) == count_flops(cfg).total_macs

@@ -156,6 +156,26 @@ class TestRawFormat:
         with pytest.raises(LoadError, match="sidecar"):
             load_dataset(d)
 
+    @pytest.mark.parametrize("text", [
+        '[]', '5', '{"height": null, "width": 8}', '{"height": 1e400, "width": 8}',
+        '{"height": 8.7, "width": 8}', '{"height": 8, "width": true}',
+        '{"height": "8", "width": 8}'],
+        ids=["list", "number", "null", "overflow", "float", "bool", "string"])
+    def test_sidecar_sizes_must_be_integers(self, text, tmp_path):
+        # a float would be truncated (8.7 -> 8) and true read as 1
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(1, 8, seed=0), d)
+        (d / "dataset.json").write_text(text)
+        with pytest.raises(LoadError, match="sidecar.*integers"):
+            load_dataset(d)
+
+    def test_deeply_nested_sidecar(self, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(1, 8, seed=0), d)
+        (d / "dataset.json").write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(LoadError, match="sidecar"):
+            load_dataset(d)
+
 
 class TestDatasetType:
     def test_label_validation(self):

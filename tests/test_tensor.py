@@ -669,9 +669,9 @@ class TestPerNodeOverhead:
     def test_transpose_gradient_returns_to_the_original_layout(self, ndim):
         rng = np.random.default_rng(ndim)
         shape = (2, 3, 4, 5, 6)[:ndim]
-        for i, perm in enumerate(itertools.permutations(range(ndim))):
+        for perm in itertools.permutations(range(ndim)):
             x = Tensor(rng.standard_normal(shape), requires_grad=True)
-            y = x.transpose(perm) if i % 2 else x.transpose(*perm)
+            y = x.transpose(*perm)
             g = rng.standard_normal(y.shape)
             (y * g).sum().backward()
             assert x.grad.tobytes() == g.transpose(np.argsort(perm)).tobytes(), perm
