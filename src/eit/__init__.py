@@ -1,7 +1,7 @@
 """Channel-split vision transformer at desk scale, with diagnostics."""
 
-from .tensor import ConvSpec, Tensor, concat, conv2d, layernorm, linear, \
-    matmul, maxpool2d, softmax_rows
+from .tensor import Tensor, concat, conv2d, layernorm, linear, matmul, \
+    maxpool2d, softmax_rows
 from .model import (ConvBranch, ModelConfig, PatchStage, SplitSchedule,
                     build_schedule, config_from_dict, config_to_dict,
                     eitp_embed, eitt_branch, encoder_layer, forward,
@@ -10,7 +10,7 @@ from .costs import CostReport, cost_report, count_flops, count_params
 from .gradcheck import gradcheck
 
 __all__ = [
-    "ConvSpec", "Tensor", "concat", "conv2d", "layernorm", "linear", "matmul",
+    "Tensor", "concat", "conv2d", "layernorm", "linear", "matmul",
     "maxpool2d", "softmax_rows", "ConvBranch", "ModelConfig", "PatchStage",
     "SplitSchedule", "build_schedule", "config_from_dict", "config_to_dict",
     "eitp_embed", "eitt_branch", "encoder_layer", "forward", "init_params",

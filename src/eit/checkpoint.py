@@ -1,9 +1,10 @@
 """Checkpoint file format.
 
 Layout: 8-byte magic "EITCKPT1", an 8-byte little-endian header length,
-a JSON header, then the raw little-endian tensor payloads in header order.
-The header records the model config and, per tensor, shape / dtype / byte
-offset into the payload region. Every tensor is float64, tagged "f64".
+a JSON header, then the raw little-endian tensor payloads in header order,
+back to back, ending the file. The header records the model config and,
+per tensor, shape / dtype / byte offset into the payload region. Every
+tensor is float64, tagged "f64".
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
             raise TypeError("'tensors' must map names to objects")
     except Exception as e:
         raise LoadError(f"{path}: malformed header: {e}") from e
-    base = 16 + hlen
+    base = end = 16 + hlen
     params = {}
     for name, meta in tensors.items():
         dtype = meta.get("dtype")
@@ -73,11 +74,17 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
                 and _is_size(start)):
             raise LoadError(f"{path}: tensor {name} has bad shape {shape!r} "
                             f"or offset {start!r}")
+        if base + start != end:  # misaligned or overlapping
+            raise LoadError(f"{path}: tensor {name} offset {start}, expected "
+                            f"{end - base} where the tensor before it ends")
         count = math.prod(shape)
-        if base + start + count * _F64.itemsize > len(blob):
+        end += count * _F64.itemsize
+        if end > len(blob):
             raise LoadError(f"{path}: tensor {name} payload out of range")
         data = np.frombuffer(blob, _F64, count, base + start).reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
+    if end != len(blob):
+        raise LoadError(f"{path}: {len(blob) - end} bytes after the last tensor")
     expected = {name: shape for name, shape, _, _ in param_shapes(config)}
     if {name: t.shape for name, t in params.items()} != expected:
         raise LoadError(f"{path}: parameter tensors do not match the config")

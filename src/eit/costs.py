@@ -56,7 +56,7 @@ def cost_report(config: ModelConfig) -> CostReport:
     under the ``none`` policy), then the weight-free ones in
     ``param_shapes`` order."""
     t = config.token_count()
-    hc, wc = config.patch_conv_spec().out_size(*config.image[:2])
+    hc, wc = config.patch_conv_grid()
     positions = {"patch_embed": hc * wc, "attention": t, "conv_branch": t - 1,
                  "mlp": t, "head": 1}
     report = CostReport({name: Cost() for name in positions})

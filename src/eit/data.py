@@ -138,7 +138,7 @@ def load_dataset(path, limit: int | None = None) -> Dataset:
         try:
             raw = np.fromfile(fpath, dtype=np.uint8)
             labels[i] = int(row["label"])
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, OverflowError) as e:  # last: beyond int64
             raise LoadError(f"{labels_file} row {i + 1} ({name}): {e}") from e
         if raw.size != expected:
             raise LoadError(f"{fpath}: got {raw.size} bytes, expected {expected} "

@@ -16,8 +16,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .tensor import (ConvSpec, Tensor, concat, conv2d, dropout, layernorm,
-                     linear, matmul, maxpool2d, normalize, softmax_rows)
+from .tensor import (Tensor, concat, conv2d, dropout, layernorm, linear,
+                     matmul, maxpool2d, normalize, out_size, softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
@@ -130,20 +130,20 @@ class ModelConfig:
 
     # -- geometry ---------------------------------------------------------
 
-    def patch_conv_spec(self) -> ConvSpec:
-        return ConvSpec(self.eitp.kernel, self.eitp.kernel, self.eitp.stride,
-                        self.eitp.padding, 1, 3, self.channels)
+    def patch_conv_grid(self) -> tuple[int, int]:
+        """Height and width of the patch conv's output, before pooling."""
+        h, w, _ = self.image
+        p = self.eitp
+        return (out_size(h, p.kernel, p.stride, p.padding),
+                out_size(w, p.kernel, p.stride, p.padding))
 
     def token_grid(self) -> tuple[int, int]:
-        h, w, _ = self.image
-        hc, wc = self.patch_conv_spec().out_size(h, w)
+        hc, wc = self.patch_conv_grid()
         sm = self.eitp.pool
-        h0 = (hc - sm) // sm + 1
-        w0 = (wc - sm) // sm + 1
-        if h0 < 1 or w0 < 1:
+        if hc < sm or wc < sm:
             raise ConfigError(
                 f"pooling {sm} collapses the {hc}x{wc} conv output to nothing")
-        return h0, w0
+        return hc // sm, wc // sm
 
     def token_count(self) -> int:
         h0, w0 = self.token_grid()
@@ -191,11 +191,13 @@ def config_from_dict(doc: dict) -> ModelConfig:
 
 def read_json(path):
     """The JSON document in the file at ``path``."""
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             return json.load(f)
-        except ValueError as e:
-            raise ConfigError(f"{path}: not valid JSON: {e}") from e
+    except OSError as e:  # e.g. a directory
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    except (ValueError, RecursionError) as e:  # last: nested too deep
+        raise ConfigError(f"{path}: not valid JSON: {e}") from e
 
 
 # -- split schedule --------------------------------------------------------
@@ -374,7 +376,7 @@ def eitp_embed(images: Tensor, params: dict[str, Tensor],
                             f"configured size {(3, h, w)}")
     n = images.shape[0]
     x = conv2d(images, params["eitp.weight"], params["eitp.bias"],
-               config.patch_conv_spec())
+               config.eitp.stride, config.eitp.padding)
     x = maxpool2d(x, config.eitp.pool, config.eitp.pool)
     h0, w0 = config.token_grid()
     x = x.reshape(n, config.channels, h0 * w0).transpose(0, 2, 1)
@@ -402,13 +404,14 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     return linear(o, out_w, out_b), a.data
 
 
-def _grid_conv(tokens: Tensor, spec: ConvSpec, grid: tuple[int, int],
-               weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Apply a spatial conv to patch tokens laid out row-major on the grid."""
+def _grid_conv(tokens: Tensor, grid: tuple[int, int], weight: Tensor,
+               bias: Tensor | None = None) -> Tensor:
+    """Apply a stride-1 same-padded conv to patch tokens laid out row-major
+    on the grid. weight (C_out, C / groups, k, k) sets the kernel and groups."""
     n, p, c = tokens.shape
     h0, w0 = grid
     x = tokens.reshape(n, h0, w0, c).transpose(0, 3, 1, 2)
-    x = conv2d(x, weight, bias, spec)
+    x = conv2d(x, weight, bias, 1, weight.shape[-1] // 2)
     return x.transpose(0, 2, 3, 1).reshape(n, p, c)
 
 
@@ -428,9 +431,7 @@ def eitt_branch(x: Tensor, params: dict[str, Tensor], prefix: str,
     for step, shapes in steps:
         p = [params[f"{prefix}.{suffix}"] for suffix, _, _ in shapes]
         if step.startswith("conv"):
-            _, per_group, kh, kw = shapes[0][1]  # weight (C_T, C_T / groups, k, k)
-            spec = ConvSpec(kh, kw, 1, kh // 2, ct // per_group, ct, ct)
-            y = _grid_conv(y, spec, grid, *p)
+            y = _grid_conv(y, grid, *p)
         elif step == "fc":
             y = linear(y, *p)
         elif step == "bn":

@@ -14,7 +14,9 @@ channel concatenation, plus add, multiply and a full sum.
 Convolution is a strided-window GEMM: ``_windows`` views every kernel
 window of the input through its strides, without a copy; the windows are
 gathered into columns and one batched matmul with the per-group weights
-gives the output, for every group count. Max-pooling reads the same view.
+gives the output, for every group count. The weight, (C_out, C_in/groups,
+kh, kw), fixes a conv's geometry: groups is C_in / w.shape[1]. ``out_size``
+holds the one output-size law. Max-pooling reads the same window view.
 ``_windows`` takes only a C-contiguous array: conv2d's zero-padded buffer
 is one, and at padding 0 conv2d and maxpool2d pass
 ``np.ascontiguousarray`` of their input, which copies only a
@@ -32,7 +34,6 @@ All operations are pure: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -41,39 +42,6 @@ from .errors import ContractError, GeometryError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Geometry of a 2D convolution: kernel, stride, symmetric zero padding,
-    channel groups. Depthwise is groups == in_channels == out_channels."""
-
-    kernel_h: int
-    kernel_w: int
-    stride: int = 1
-    padding: int = 0
-    groups: int = 1
-    in_channels: int = 1
-    out_channels: int = 1
-
-    def __post_init__(self):
-        if min(self.kernel_h, self.kernel_w, self.stride, self.groups,
-               self.in_channels, self.out_channels) < 1 or self.padding < 0:
-            raise ContractError(f"bad conv spec: {self}")
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ContractError(
-                f"channels ({self.in_channels}, {self.out_channels}) not divisible "
-                f"by groups ({self.groups})")
-
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        """Output extents: floor((H + 2p - k) / s) + 1 per axis."""
-        if h + 2 * self.padding < self.kernel_h or w + 2 * self.padding < self.kernel_w:
-            raise GeometryError(
-                f"input {h}x{w} with padding {self.padding} smaller than kernel "
-                f"{self.kernel_h}x{self.kernel_w}")
-        oh = (h + 2 * self.padding - self.kernel_h) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
-        return oh, ow
 
 
 def _scatter_into_zeros(like: np.ndarray, key, g: np.ndarray,
@@ -353,6 +321,19 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # ---- convolution and pooling --------------------------------------------
 
 
+def out_size(n: int, window: int, stride: int, padding: int = 0) -> int:
+    """Extent of a window sliding over n inputs zero-padded by ``padding`` on
+    each side: floor((n + 2p - k) / s) + 1. Every conv, pool and token-grid
+    size comes from here."""
+    if window < 1 or stride < 1 or padding < 0:
+        raise ContractError(f"bad window {window}, stride {stride} or "
+                            f"padding {padding}")
+    if n + 2 * padding < window:
+        raise GeometryError(f"input {n} with padding {padding} smaller than "
+                            f"window {window}")
+    return (n + 2 * padding - window) // stride + 1
+
+
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int,
              groups: int = 1) -> np.ndarray:
     """(N, C, H, W) -> read-only view (N, G, C/G, kh, kw, OH, OW) of every
@@ -364,44 +345,52 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int,
     n, c, h, w = x.shape
     sn, sc, sh, sw = x.strides
     win = np.ndarray((n, groups, c // groups, kh, kw,
-                      (h - kh) // stride + 1, (w - kw) // stride + 1),
+                      out_size(h, kh, stride), out_size(w, kw, stride)),
                      x.dtype, x, 0,
                      (sn, sc * (c // groups), sc, sh, sw, sh * stride, sw * stride))
     win.flags.writeable = False
     return win
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Tensor:
-    """Grouped 2D convolution. weight is (C_out, C_in/groups, kh, kw).
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
+           padding: int = 0) -> Tensor:
+    """Grouped 2D convolution. weight is (C_out, C_in/groups, kh, kw): it
+    gives the kernel and the output channels, and groups is C_in divided by
+    weight.shape[1] (1 for a full conv, C_in for a depthwise one).
 
     Strided-window GEMM (unfold + matmul, Chellapilla et al. 2006): the
     windows of the zero-padded input, as columns of K = C_in/groups*kh*kw
     rows, meet the (groups, C_out/groups, K) weights in one batched matmul.
     Patch, grouped, depthwise and full-width convs take this one path.
     The backward keeps only the window view and builds columns when run."""
-    if x.ndim != 4 or x.shape[1] != spec.in_channels:
-        raise ContractError(f"conv2d: input {x.shape} does not match spec {spec}")
-    g, kh, kw = spec.groups, spec.kernel_h, spec.kernel_w
-    cig = spec.in_channels // g
-    cog = spec.out_channels // g
-    wshape = (spec.out_channels, cig, kh, kw)
-    if weight.shape != wshape:
-        raise ContractError(f"conv2d: weight {weight.shape}, expected {wshape}")
-    if bias is not None and bias.shape != (spec.out_channels,):
-        raise ContractError(f"conv2d: bias {bias.shape}, expected ({spec.out_channels},)")
+    if x.ndim != 4 or weight.ndim != 4:
+        raise ContractError(f"conv2d: input {x.shape} and weight {weight.shape} "
+                            f"must both be 4-D")
+    wshape = weight.shape
+    cout, cig, kh, kw = wshape
+    n, cin, h, w = x.shape
+    # cin < cig also keeps g >= 1 for the modulo below
+    if min(cout, cig) < 1 or cin < cig or cin % cig:
+        raise ContractError(f"conv2d: weight {wshape} does not fit input {x.shape}")
+    g = cin // cig
+    if cout % g:
+        raise ContractError(f"conv2d: {cout} output channels not divisible by "
+                            f"{g} groups")
+    if bias is not None and bias.shape != (cout,):
+        raise ContractError(f"conv2d: bias {bias.shape}, expected ({cout},)")
 
-    n, _, h, w = x.shape
-    oh, ow = spec.out_size(h, w)
-    p, s = spec.padding, spec.stride
+    oh, ow = out_size(h, kh, stride, padding), out_size(w, kw, stride, padding)
+    p, s = padding, stride
+    cog = cout // g
     k, m = cig * kh * kw, oh * ow
     if p:
-        xp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
+        xp = np.zeros((n, cin, h + 2 * p, w + 2 * p))
         xp[:, :, p:p + h, p:p + w] = x.data
     else:  # copies only a non-contiguous x, e.g. a 1x1 conv branch's tokens
         xp = np.ascontiguousarray(x.data)
     win = _windows(xp, kh, kw, s, g)
     wg = weight.data.reshape(g, cog, k)
-    out = (wg @ win.reshape(n, g, k, m)).reshape(n, spec.out_channels, oh, ow)
+    out = (wg @ win.reshape(n, g, k, m)).reshape(n, cout, oh, ow)
     if bias is not None:
         out += bias.data[None, :, None, None]
 
@@ -414,7 +403,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, spec: ConvSpec) -> Te
         gb = () if bias is None else (gout.sum(axis=(0, 2, 3)),)
         if not x.requires_grad:  # e.g. the raw image: nothing reads its gradient
             return (None, gw, *gb)
-        gcol = (wg.transpose(0, 2, 1) @ gg).reshape(n, spec.in_channels, kh, kw, oh, ow)
+        gcol = (wg.transpose(0, 2, 1) @ gg).reshape(n, cin, kh, kw, oh, ow)
         gxp = np.zeros(xp.shape)
         for i in range(kh):
             for j in range(kw):
@@ -431,10 +420,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     if x.ndim != 4:
         raise ContractError(f"maxpool2d: expected NCHW input, got {x.shape}")
     n, c, h, w = x.shape
-    if window > h or window > w:
-        raise GeometryError(f"pool window {window} exceeds input {h}x{w}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
+    oh, ow = out_size(h, window, stride), out_size(w, window, stride)
     # Per image: gathering the whole batch's windows would copy the input.
     idx = np.empty((n, c, oh, ow), dtype=np.intp)
     xc = np.ascontiguousarray(x.data)  # the model's conv output already is

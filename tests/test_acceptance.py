@@ -15,7 +15,6 @@ from eit.gradcheck import gradcheck, worst_offender
 from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor,
                        build_schedule, conv2d, eitt_branch, encoder_layer,
                        forward, init_params, maxpool2d, mha, schedule_for)
-from eit.model import ConvSpec
 from eit.tensor import matmul, softmax_rows
 from eit.train import TrainConfig, cross_entropy, train
 
@@ -107,7 +106,7 @@ def test_3_gradient_correctness():
         x = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 2, 3, 3)) * 0.4, requires_grad=True)
         b = Tensor(rng.standard_normal(4) * 0.4, requires_grad=True)
-        check(lambda: conv2d(x, w, b, ConvSpec(3, 3, 1, 1, 1, 2, 4)).sum(),
+        check(lambda: conv2d(x, w, b, 1, 1).sum(),
               {"x": x, "w": w, "b": b})
         y = Tensor(rng.standard_normal((1, 3, 6, 6)), requires_grad=True)
         check(lambda: (maxpool2d(y, 2, 2) * Tensor(
@@ -135,8 +134,7 @@ def test_4_kernel_oracles():
             x = rng.standard_normal((1, cin, h, h))
             w = rng.standard_normal((cout, cin // g, k, k))
             b = rng.standard_normal(cout)
-            ours = conv2d(Tensor(x), Tensor(w), Tensor(b),
-                          ConvSpec(k, k, s, p, g, cin, cout)).data
+            ours = conv2d(Tensor(x), Tensor(w), Tensor(b), s, p).data
             ref = conv2d_loops(x, w, b, s, p, g)
             assert np.abs(ours - ref).max() <= 1e-12
         for _ in range(100):

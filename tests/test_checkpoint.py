@@ -171,3 +171,23 @@ class TestHostileHeader:
         p = edit_header(tmp_path, lambda h: first_tensor(h).update(offset=-8))
         with pytest.raises(LoadError, match="offset"):
             checkpoint.load(p)
+
+    def test_misaligned_offset(self, tmp_path):
+        p = edit_header(tmp_path, lambda h: first_tensor(h).update(offset=3))
+        with pytest.raises(LoadError, match="offset 3, expected 0"):
+            checkpoint.load(p)
+
+    def test_two_tensors_at_one_offset(self, tmp_path):
+        def overlap(header):
+            first, second = list(header["tensors"].values())[:2]
+            second["offset"] = first["offset"]
+        p = edit_header(tmp_path, overlap)
+        with pytest.raises(LoadError, match="offset 0, expected"):
+            checkpoint.load(p)
+
+    def test_trailing_byte(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        checkpoint.save(p, init_params(MICRO, 0), MICRO)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(LoadError, match="1 bytes after the last tensor"):
+            checkpoint.load(p)

@@ -94,11 +94,19 @@ class TestDescribe:
         assert main(["describe", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
-    def test_unparsable_config_exits_1(self, tmp_path):
+    def test_unparsable_config_exits_1(self, tiny_cfg, tmp_path, capsys):
+        # not JSON, a directory, and nesting deeper than the parser recurses,
+        # each as a model config and as a train config
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["describe", "--config", str(bad),
-                     "--out", str(tmp_path)]) == 1
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for path in (str(bad), str(tmp_path), str(deep)):
+            for args in (["describe", "--config", path],
+                         ["train", "--config", tiny_cfg, "--train-config", path,
+                          "--data", str(tmp_path / "absent")]):
+                assert main([*args, "--out", str(tmp_path / "out")]) == 1, args
+                assert capsys.readouterr().err.startswith("error:"), args
 
     def test_invalid_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -163,7 +163,7 @@ class TestKernelMacs:
 
         count("linear", lambda x, weight, bias: weight.shape[0])
         count("matmul", lambda a, b: a.shape[-1])
-        count("conv2d", lambda x, weight, bias, spec: math.prod(weight.shape[1:]))
+        count("conv2d", lambda x, weight, *_: math.prod(weight.shape[1:]))
         images = np.random.default_rng(0).random((1, 3, 8, 8))
         forward(images, init_params(cfg, 0), cfg)
         assert sum(macs) == count_flops(cfg).total_macs

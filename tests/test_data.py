@@ -118,8 +118,10 @@ class TestRawFormat:
     @pytest.mark.parametrize("rows, message", [
         ([], "lists no samples"),
         ([["img_00000.raw", 0], ["img_00001.raw"]], "row 2 missing filename/label"),
-        ([["img_00000.raw", 0], ["img_00001.raw", -1]], "negative label")],
-        ids=["header-only", "no-label", "negative-label"])
+        ([["img_00000.raw", 0], ["img_00001.raw", -1]], "negative label"),
+        ([["img_00000.raw", 0], ["img_00001.raw", "99999999999999999999"]],
+         "row 2 .*too large")],
+        ids=["header-only", "no-label", "negative-label", "label-overflows-int64"])
     def test_malformed_labels_rows(self, rows, message, tmp_path):
         d = tmp_path / "d"
         save_dataset(generate_synthetic(2, 8, seed=0), d)

@@ -9,8 +9,8 @@ from eit.gradcheck import gradcheck, resume, stage_inputs, worst_offender
 from eit.model import (BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES,
                        ConvBranch, ModelConfig, PatchStage, forward,
                        init_params, loss_stages)
-from eit.tensor import ConvSpec, Tensor, conv2d, layernorm, matmul, \
-    maxpool2d, softmax_rows
+from eit.tensor import (Tensor, conv2d, layernorm, matmul, maxpool2d,
+                        softmax_rows)
 from eit.train import cross_entropy
 
 MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2, image=(8, 8, 3),
@@ -74,21 +74,19 @@ def test_layernorm_input():
 
 def test_conv2d_depthwise_weights():
     rng = np.random.default_rng(2)
-    spec = ConvSpec(3, 3, 1, 1, groups=3, in_channels=3, out_channels=3)
     x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 1, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    report = gradcheck(lambda: square_sum(conv2d(x, w, b, spec)),
+    report = gradcheck(lambda: square_sum(conv2d(x, w, b, 1, 1)),
                        {"x": x, "w": w, "b": b})
     assert max(report.values()) <= 1e-5
 
 
 def test_conv2d_strided_grouped():
     rng = np.random.default_rng(3)
-    spec = ConvSpec(3, 3, 2, 1, groups=2, in_channels=4, out_channels=6)
     x = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
     w = Tensor(rng.standard_normal((6, 2, 3, 3)), requires_grad=True)
-    report = gradcheck(lambda: square_sum(conv2d(x, w, None, spec)),
+    report = gradcheck(lambda: square_sum(conv2d(x, w, None, 2, 1)),
                        {"x": x, "w": w})
     assert max(report.values()) <= 1e-5
 

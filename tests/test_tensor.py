@@ -9,9 +9,9 @@ from scipy.special import erf
 from eit.errors import ContractError, GeometryError
 from eit.gradcheck import gradcheck
 from eit.model import config_from_dict, forward, init_params
-from eit.tensor import (ConvSpec, Tensor, _windows, concat, conv2d, dropout,
-                        layernorm, linear, log_softmax, matmul, maxpool2d,
-                        normalize, softmax_rows)
+from eit.tensor import (Tensor, _windows, concat, conv2d, dropout, layernorm,
+                        linear, log_softmax, matmul, maxpool2d, normalize,
+                        out_size, softmax_rows)
 from eit.train import cross_entropy
 
 from oracles import conv2d_loops, matmul_loops, maxpool_loops
@@ -19,8 +19,7 @@ from oracles import conv2d_loops, matmul_loops, maxpool_loops
 
 class TestConvGeometry:
     def test_eq6_hand_values(self):
-        spec = ConvSpec(16, 16, stride=4, padding=0, in_channels=3, out_channels=8)
-        assert spec.out_size(224, 224) == (53, 53)
+        assert out_size(224, 16, 4, 0) == 53
 
     def test_exhaustive_shape_law(self):
         # floor((H + 2p - k) / s) + 1 over a broad sweep
@@ -30,24 +29,25 @@ class TestConvGeometry:
                     for p in (0, 1, k // 2):
                         if h + 2 * p < k:
                             continue
-                        spec = ConvSpec(k, k, s, p)
-                        oh, _ = spec.out_size(h, h)
+                        oh = out_size(h, k, s, p)
                         assert oh == (h + 2 * p - k) // s + 1
 
     def test_too_small_input_rejected(self):
         with pytest.raises(GeometryError):
-            ConvSpec(5, 5).out_size(3, 3)
+            out_size(3, 5, 1)
 
     def test_groups_must_divide(self):
+        # 4 input channels over weight.shape[1] == 3: no whole group count
         with pytest.raises(ContractError):
-            ConvSpec(3, 3, groups=3, in_channels=4, out_channels=4)
+            conv2d(Tensor(np.zeros((1, 4, 5, 5))), Tensor(np.zeros((4, 3, 3, 3))),
+                   None)
 
 
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.random.default_rng(0).random((1, 1, 4, 4)))
         w = Tensor(np.ones((1, 1, 1, 1)))
-        out = conv2d(x, w, None, ConvSpec(1, 1))
+        out = conv2d(x, w, None)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_depthwise_matches_bruteforce(self):
@@ -55,8 +55,7 @@ class TestConv2d:
         x = rng.random((1, 3, 6, 6))
         w = rng.random((3, 1, 3, 3))
         b = rng.random(3)
-        spec = ConvSpec(3, 3, 1, 1, groups=3, in_channels=3, out_channels=3)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), 1, 1)
         ref = conv2d_loops(x, w, b, 1, 1, 3)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -74,8 +73,7 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, h, h))
         w = rng.standard_normal((cout, cig, k, k))
         b = rng.standard_normal(cout)
-        spec = ConvSpec(k, k, s, p, groups, cin, cout)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), s, p)
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, s, p, groups),
                                    atol=1e-12)
 
@@ -89,8 +87,7 @@ class TestConv2d:
         assert not x.flags.c_contiguous
         w = rng.standard_normal((12, 6 // groups, kh, kw))
         b = rng.standard_normal(12)
-        spec = ConvSpec(kh, kw, s, p, groups, 6, 12)
-        out = conv2d(Tensor(x), Tensor(w), Tensor(b), spec)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), s, p)
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, s, p, groups),
                                    atol=1e-12)
 
@@ -102,10 +99,10 @@ class TestConv2d:
                   "weight": Tensor(rng.standard_normal((4, 4 // groups, 3, 2)),
                                    requires_grad=True),
                   "bias": Tensor(rng.standard_normal(4), requires_grad=True)}
-        spec = ConvSpec(3, 2, 2, 1, groups, 4, 4)
-        proj = Tensor(rng.standard_normal((2, 4) + spec.out_size(6, 5)))
+        proj = Tensor(rng.standard_normal((2, 4, out_size(6, 3, 2, 1),
+                                           out_size(5, 2, 2, 1))))
         report = gradcheck(lambda: (conv2d(params["x"], params["weight"],
-                                           params["bias"], spec) * proj).sum(),
+                                           params["bias"], 2, 1) * proj).sum(),
                            params)
         assert max(report.values()) <= 1e-7, report
 
@@ -115,7 +112,7 @@ class TestConv2d:
         x0 = rng.standard_normal((2, 4, 5, 5))
         x = Tensor(x0.copy(), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
-        out = conv2d(x, w, None, ConvSpec(3, 3, 2, p, 2, 4, 4))
+        out = conv2d(x, w, None, 2, p)
         (out * out).sum().backward()
         assert x.data.tobytes() == x0.tobytes()
         win = _windows(x.data, 3, 3, 2, 2)
@@ -124,23 +121,43 @@ class TestConv2d:
             win[0, 0, 0, 0, 0, 0, 0] = 1.0
         assert x.data.tobytes() == x0.tobytes()
 
-    def test_weight_shape_mismatch(self):
-        spec = ConvSpec(3, 3, in_channels=3, out_channels=4)
-        with pytest.raises(ContractError):
-            conv2d(Tensor(np.zeros((1, 3, 5, 5))),
-                   Tensor(np.zeros((4, 3, 2, 2))), None, spec)
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape, s, p, error", [
+        ((1, 3, 5, 5), (4, 2, 3, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 6, 3, 3), None, 1, 0, ContractError),
+        ((1, 0, 5, 5), (4, 1, 3, 3), None, 1, 0, ContractError),
+        ((1, 4, 5, 5), (6, 1, 3, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 3, 3), (3,), 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (0, 3, 3, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 0, 3, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 0, 3), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 3, 0), None, 1, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 3, 3), None, 0, 0, ContractError),
+        ((1, 3, 5, 5), (4, 3, 3, 3), None, 1, -1, ContractError),
+        ((1, 3, 2, 5), (4, 3, 3, 3), None, 1, 0, GeometryError)],
+        ids=["c_in-not-divisible", "c_in-below-weight", "c_in-0",
+             "c_out-not-divisible", "bias", "weight-3d", "c_out-0",
+             "c_in-per-group-0", "kh-0", "kw-0", "stride-0", "padding-1",
+             "input-below-kernel"])
+    def test_weight_shape_mismatch(self, x_shape, w_shape, b_shape, s, p,
+                                   error):
+        # each raises before any arithmetic: a zero-size weight is no
+        # ZeroDivisionError
+        bias = None if b_shape is None else Tensor(np.zeros(b_shape))
+        with pytest.raises(error):
+            conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), bias,
+                   s, p)
 
     def test_raw_input_gets_no_gradient_and_changes_no_other(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 6, 6))
         w_data, b_data = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)
-        spec = ConvSpec(3, 3, 1, 1, in_channels=3, out_channels=4)
         grads = []
         for x_grad in (False, True):
             xt = Tensor(x.copy(), requires_grad=x_grad)
             w = Tensor(w_data.copy(), requires_grad=True)
             b = Tensor(b_data.copy(), requires_grad=True)
-            out = conv2d(xt, w, b, spec)
+            out = conv2d(xt, w, b, 1, 1)
             if not x_grad:  # the input's slot of the backward is left empty
                 assert out._backward(np.ones(out.shape))[0] is None
             (out * out).sum().backward()
@@ -153,9 +170,8 @@ class TestConv2d:
     def test_pure(self):
         rng = np.random.default_rng(7)
         x, w = rng.random((1, 2, 5, 5)), rng.random((2, 2, 3, 3))
-        spec = ConvSpec(3, 3, in_channels=2, out_channels=2)
-        a = conv2d(Tensor(x), Tensor(w), None, spec).data
-        b = conv2d(Tensor(x), Tensor(w), None, spec).data
+        a = conv2d(Tensor(x), Tensor(w), None).data
+        b = conv2d(Tensor(x), Tensor(w), None).data
         assert (a == b).all()
 
 
@@ -190,9 +206,13 @@ class TestMaxpool:
         out = maxpool2d(Tensor(x), win, s)
         np.testing.assert_array_equal(out.data, maxpool_loops(x, win, s))
 
-    def test_oversized_window(self):
-        with pytest.raises(GeometryError):
-            maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
+    @pytest.mark.parametrize("win, s, error", [
+        (3, 1, GeometryError), (2, 0, ContractError), (0, 1, ContractError),
+        (-1, 1, ContractError), (2, -2, ContractError)],
+        ids=["window-3", "stride-0", "window-0", "window-neg", "stride-neg"])
+    def test_oversized_window(self, win, s, error):
+        with pytest.raises(error):
+            maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), win, s)
 
     def test_backward_first_argmax_on_ties(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
@@ -722,13 +742,12 @@ class TestPerNodeOverhead:
         x = rng.standard_normal((2, 5, 6, 3)).transpose(0, 3, 1, 2)
         w = rng.standard_normal((6, 3 // groups, 2, 3))
         b = rng.standard_normal(6)
-        spec = ConvSpec(2, 3, 1, 0, groups, 3, 6)
         xt = Tensor(x, requires_grad=True)
-        out = conv2d(xt, Tensor(w), Tensor(b), spec)
+        out = conv2d(xt, Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, conv2d_loops(x, w, b, 1, 0, groups),
                                    atol=1e-12)
         xc = Tensor(np.ascontiguousarray(x), requires_grad=True)
-        ref = conv2d(xc, Tensor(w), Tensor(b), spec)
+        ref = conv2d(xc, Tensor(w), Tensor(b))
         assert out.data.tobytes() == ref.data.tobytes()
         g = rng.standard_normal(out.shape)
         (out * g).sum().backward()
