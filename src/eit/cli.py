@@ -29,13 +29,12 @@ from . import checkpoint, costs, probes
 from .atomic import atomic_open
 from .data import generate_synthetic, load_dataset, save_dataset
 from .errors import ConfigError, DivergenceError, EitError
-from .gradcheck import gradcheck, worst_offender
+from .gradcheck import GRADCHECK_TOL, gradcheck, workers, worst_offender
 from .model import (config_from_dict, config_to_dict, forward, init_params,
                     loss_stages, read_json, schedule_for)
 from .train import cross_entropy, train, train_config_from_dict
 
 GRADCHECK_PARAM_LIMIT = 50_000
-GRADCHECK_TOL = 1e-4
 
 
 def _blas_threads() -> int | None:
@@ -153,19 +152,27 @@ def cmd_gradcheck(args) -> int:
         return loss(forward(images, params, config))
 
     stages = loss_stages(images, params, config, loss)
-    counts = Counter()
-    report = gradcheck(f, params, step=args.step, stages=stages, counts=counts)
+    counts, refined = Counter(), {}
+    report = gradcheck(f, params, step=args.step, stages=stages, counts=counts,
+                       refined=refined)
     name, err = worst_offender(report)
     passed = err <= GRADCHECK_TOL
+    doc = {"tolerance": GRADCHECK_TOL, "step": args.step, "passed": passed,
+           "worst": {"param": name, "error": err},
+           "max_relative_error": report}
+    if refined:
+        doc["refined"] = refined
     os.makedirs(args.out, exist_ok=True)
     with atomic_open(os.path.join(args.out, "gradcheck.json")) as f_:
-        json.dump({"tolerance": GRADCHECK_TOL, "step": args.step,
-                   "passed": passed, "worst": {"param": name, "error": err},
-                   "max_relative_error": report}, f_, indent=2)
-    _write_manifest(args, {"config": config_to_dict(config),
-                           "seed": args.seed, "evaluations": sum(counts.values()),
-                           "resumed_at_stage": [counts[s]
-                                                for s in range(len(stages))]})
+        json.dump(doc, f_, indent=2)
+    _write_manifest(args, {
+        "config": config_to_dict(config), "seed": args.seed,
+        "evaluations": sum(counts.values()),
+        "resumed_at_stage": [counts[s] for s in range(len(stages))],
+        "workers": workers(len(params)),
+        # the largest child this process has waited for, e.g. a pool worker
+        "children_peak_rss_mib":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024})
     if passed:
         print(f"gradcheck passed: worst {name} rel err {err:.3e} "
               f"(tol {GRADCHECK_TOL:g})")

@@ -113,6 +113,8 @@ class ModelConfig:
             raise ConfigError(f"image must be (H, W, 3), got {self.image}")
         if p.stride > p.kernel:
             raise ConfigError("patch-stage stride must not exceed its kernel")
+        if p.padding >= p.kernel:  # would only add windows that see no pixel
+            raise ConfigError("eitp.padding must be less than eitp.kernel")
         if self.eitt.stride != 1:
             raise ConfigError("conv-branch stride must be 1 (token grid preserved)")
         if self.eitt.kernel % 2 == 0:  # same padding would grow the token grid

@@ -129,6 +129,10 @@ class TestDescribe:
         ({"eitp": {"kernel": 0, "stride": 0}}, "eitp.kernel must be at least 1"),
         ({"eitp": {"kernel": 3, "stride": 1, "padding": -1}},
          "eitp.padding must be at least 0"),
+        ({"eitp": {"kernel": 3, "stride": 1, "padding": 100000000}},
+         "eitp.padding must be less than eitp.kernel"),
+        ({"eitp": {"kernel": 3, "stride": 1, "padding": 3}},
+         "eitp.padding must be less than eitp.kernel"),
         ({"eitt": {"kernel": 0}}, "eitt.kernel must be at least 1"),
         ({"eitt": {"kernel": -1}}, "eitt.kernel must be at least 1"),
         ({"eitt": {"kernel": 2}}, "eitt.kernel must be odd"),
@@ -142,7 +146,8 @@ class TestDescribe:
         ({"dropout": 1.0}, "dropout 1.0 outside [0, 1)"),
         ({"dropout": -0.1}, "dropout -0.1 outside [0, 1)"),
         ({"split_policy": "zigzag"}, "unknown split policy 'zigzag'")],
-        ids=["pool0", "kernel0-stride0", "padding-1", "eitt-kernel0",
+        ids=["pool0", "kernel0-stride0", "padding-1", "padding1e8",
+             "padding-kernel", "eitt-kernel0",
              "eitt-kernel-1", "eitt-kernel2", "eitt-kernel4", "mlp_ratio0",
              "mlp_ratio-1", "image-height0", "branch_style-zigzag",
              "pos_embed-sinusoid", "dropout1", "dropout-0.1",
@@ -168,6 +173,7 @@ class TestGradcheck:
         doc = json.loads((out / "gradcheck.json").read_text())
         assert doc["passed"] is True
         assert doc["worst"]["error"] <= doc["tolerance"]
+        assert "refined" not in doc  # no element needed refining
         # every evaluation but the base, its repeat and one guard per
         # parameter tensor resumes at the perturbed parameter's stage
         config = config_from_dict(MICRO_CFG)
@@ -187,6 +193,7 @@ class TestGradcheck:
         doc = json.loads((out / "gradcheck.json").read_text())
         assert doc["passed"] is False and doc["step"] == 0.1
         assert doc["worst"]["error"] > doc["tolerance"]
+        assert doc["refined"]  # elements over the tolerance are refined first
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "gradcheck" and manifest["seed"] == 0
 

@@ -1,14 +1,19 @@
 import dataclasses
+import json
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import eit.cli
 from eit.errors import ContractError, DiagnosticError
-from eit.gradcheck import gradcheck, resume, stage_inputs, worst_offender
+from eit.gradcheck import (GRADCHECK_TOL, gradcheck, resume, stage_inputs,
+                           workers, worst_offender)
 from eit.model import (BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES,
-                       ConvBranch, ModelConfig, PatchStage, forward,
-                       init_params, loss_stages)
+                       ConvBranch, ModelConfig, PatchStage, config_to_dict,
+                       forward, init_params, loss_stages)
 from eit.tensor import (Tensor, conv2d, layernorm, matmul, maxpool2d,
                         softmax_rows)
 from eit.train import cross_entropy
@@ -137,6 +142,18 @@ def test_corrupted_backward_is_caught():
     assert name == "x" and err > 1e-4
 
 
+def test_only_elements_above_the_tolerance_are_refined():
+    # x⁴'s central difference is off by h²/x² relative: 4e-4 at x = 1 and
+    # 4e-6 at x = 10 for h = 0.02; Richardson is exact on a quartic
+    x = Tensor(np.array([1.0, 10.0]), requires_grad=True)
+    counts, refined = Counter(), {}
+    report = gradcheck(lambda: (x * x * x * x).sum(), {"x": x}, step=0.02,
+                       counts=counts, refined=refined)
+    assert refined == {"x": [[0]]}
+    assert 1e-6 < report["x"] < GRADCHECK_TOL  # x = 10's unrefined error
+    assert counts == {"full": 3, 0: 2 * 2 + 2}
+
+
 def test_nondeterministic_f_rejected():
     x = Tensor(np.array([1.0]), requires_grad=True)
     state = {"n": 0}
@@ -148,21 +165,31 @@ def test_nondeterministic_f_rejected():
         gradcheck(f, {"x": x})
 
 
+def setup_micro(config, seed=3):
+    params = init_params(config, seed)
+    images = np.random.default_rng(seed).random((1, 3) + config.image[:2])
+    label = np.array([seed % config.classes])
+
+    def loss(logits):
+        return cross_entropy(logits, label)
+
+    def f():
+        return loss(forward(images, params, config))
+    return params, f, loss_stages(images, params, config, loss)
+
+
+def cls_token_named_last(stages):
+    """The stage map with ``cls_token`` moved from the patch embed to the
+    last stage, too late to see its effect on the tokens."""
+    moved = [(tuple(n for n in names if n != "cls_token"), fn)
+             for names, fn in stages]
+    moved[-1] = (moved[-1][0] + ("cls_token",), moved[-1][1])
+    return moved
+
+
 class TestStages:
     """``model.loss_stages`` splits the loss at the residual blocks, and
     gradcheck resumes each evaluation at the perturbed parameter's stage."""
-
-    def _setup(self, config, seed=3):
-        params = init_params(config, seed)
-        images = np.random.default_rng(seed).random((1, 3) + config.image[:2])
-        label = np.array([seed % config.classes])
-
-        def loss(logits):
-            return cross_entropy(logits, label)
-
-        def f():
-            return loss(forward(images, params, config))
-        return params, f, loss_stages(images, params, config, loss)
 
     @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
     @pytest.mark.parametrize("style", BRANCH_STYLES)
@@ -172,7 +199,7 @@ class TestStages:
         config = dataclasses.replace(
             MICRO, split_policy=policy, eitt=ConvBranch(branch_style=style),
             pos_embed=pos_embed)
-        params, f, stages = self._setup(config)
+        params, f, stages = setup_micro(config)
         assert len(stages) == 2 * config.layers + 2
         owned = [name for names, _ in stages for name in names]
         assert sorted(owned) == sorted(params)  # each parameter exactly once
@@ -193,7 +220,7 @@ class TestStages:
         config = dataclasses.replace(
             MICRO, channels=4, image=(4, 4, 3), mlp_ratio=1,
             pos_embed="trainable")
-        params, f, stages = self._setup(config)
+        params, f, stages = setup_micro(config)
         counts = Counter()
         staged = gradcheck(f, params, stages=stages, counts=counts)
         assert staged == gradcheck(f, params)
@@ -202,18 +229,100 @@ class TestStages:
             assert counts[s] == 2 * sum(params[n].data.size for n in names)
 
     def test_parameter_named_too_late_is_caught(self):
-        params, f, stages = self._setup(MICRO)
-        moved = [(tuple(n for n in names if n != "cls_token"), fn)
-                 for names, fn in stages]
-        moved[-1] = (moved[-1][0] + ("cls_token",), moved[-1][1])
+        params, f, stages = setup_micro(MICRO)
         before = params["cls_token"].data.copy()
         with pytest.raises(DiagnosticError, match="cls_token too late"):
-            gradcheck(f, params, stages=moved)
+            gradcheck(f, params, stages=cls_token_named_last(stages))
         assert params["cls_token"].data.tobytes() == before.tobytes()
 
     def test_parameter_named_by_no_stage_is_rejected(self):
-        params, f, stages = self._setup(MICRO)
+        params, f, stages = setup_micro(MICRO)
         dropped = [(tuple(n for n in names if n != "head.bias"), fn)
                    for names, fn in stages]
         with pytest.raises(ContractError, match="head.bias"):
             gradcheck(f, params, stages=dropped)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("name", ["eitp.weight", "cls_token", "head.bias"])
+def test_a_gradient_off_by_one_part_in_a_thousand_fails(name, monkeypatch):
+    params, f, stages = setup_micro(MICRO)
+    backward = Tensor.backward
+
+    def skewed(self, *args, **kwargs):
+        backward(self, *args, **kwargs)
+        params[name].grad *= 1 + 1e-3
+    monkeypatch.setattr(Tensor, "backward", skewed)
+    report = gradcheck(f, params, stages=stages)
+    assert worst_offender(report)[0] == name
+    assert report[name] > GRADCHECK_TOL
+
+
+class TestPool:
+    """gradcheck shares the parameter tensors out over one forked worker
+    per usable CPU; the numbers must not depend on how many."""
+
+    @pytest.mark.parametrize("policy", ["decreasing", "parallel"])
+    def test_one_and_two_workers_agree(self, policy, monkeypatch):
+        config = dataclasses.replace(MICRO, split_policy=policy)
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            params, f, stages = setup_micro(config)
+            assert workers(len(params)) == len(cpus)
+            counts, refined = Counter(), {}
+            report = gradcheck(f, params, stages=stages, counts=counts,
+                               refined=refined)
+            runs.append((json.dumps(report), counts, refined))
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_workers_than_tensors(self, two_cpus):
+        assert workers(1) == 1 and workers(5) == 2
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["in-process", "pool"])
+    def test_parameter_named_too_late_is_caught(self, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        params, f, stages = setup_micro(MICRO)
+        before = params["cls_token"].data.copy()
+        with pytest.raises(DiagnosticError, match="cls_token too late"):
+            gradcheck(f, params, stages=cls_token_named_last(stages))
+        assert params["cls_token"].data.tobytes() == before.tobytes()
+        assert multiprocessing.active_children() == []
+
+
+class TestCommandLeavesNoProcess:
+    """``eit gradcheck`` joins or ends its workers on every exit path."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "micro.json"
+        path.write_text(json.dumps(config_to_dict(MICRO)))
+        return str(path)
+
+    def test_exit_0(self, config, tmp_path, two_cpus, capsys):
+        out = tmp_path / "out"
+        assert eit.cli.main(["gradcheck", "--config", config,
+                             "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == 2
+        assert manifest["children_peak_rss_mib"] > 0
+
+    def test_exit_1_from_the_guard(self, config, tmp_path, two_cpus,
+                                   monkeypatch, capsys):
+        monkeypatch.setattr(eit.cli, "loss_stages",
+                            lambda *args: cls_token_named_last(loss_stages(*args)))
+        assert eit.cli.main(["gradcheck", "--config", config,
+                             "--out", str(tmp_path / "out")]) == 1
+        assert "cls_token too late" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_exit_2(self, config, tmp_path, two_cpus, capsys):
+        assert eit.cli.main(["gradcheck", "--config", config, "--step", "0.1",
+                             "--out", str(tmp_path / "out")]) == 2
+        assert multiprocessing.active_children() == []
