@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 
 
@@ -24,3 +25,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """One table, written atomically: the ``header`` row, then ``rows``."""
+    with atomic_open(path, newline="") as f:
+        out = csv.writer(f)
+        out.writerow(header)
+        out.writerows(rows)

@@ -28,7 +28,7 @@ import scipy
 from . import checkpoint, costs, probes
 from .atomic import atomic_open
 from .data import generate_synthetic, load_dataset, save_dataset
-from .errors import ConfigError, DivergenceError, EitError
+from .errors import ConfigError, DiagnosticError, DivergenceError, EitError
 from .gradcheck import GRADCHECK_TOL, gradcheck, workers, worst_offender
 from .model import (config_from_dict, config_to_dict, forward, init_params,
                     loss_stages, read_json, schedule_for)
@@ -200,8 +200,8 @@ def _probe_batch(images, params, config, bins: int, query: int):
     """Per layer: one batch's summed head distances and spectrum shares, and
     its first image's attention map. Frees the batch's activations."""
     _, layer_probes = forward(images, params, config, collect_probes=True)
-    recs = [probes.ProbeRecord(p["layer"], p["attention"], p["input"],
-                               config.token_grid(), config.pixel_spacing())
+    recs = [probes.ProbeRecord(p["attention"], p["input"], config.token_grid(),
+                               config.pixel_spacing())
             for p in layer_probes]
     return (np.stack([probes.attention_distance(r).sum(axis=0) for r in recs]),
             np.stack([probes.frequency_share(r, bins).sum(axis=0) for r in recs]),
@@ -214,10 +214,15 @@ def cmd_probe(args) -> int:
             raise ConfigError(f"--{flag.replace('_', '-')} must be positive, "
                               f"got {getattr(args, flag)}")
     params, config = checkpoint.load(args.checkpoint)
+    h0, w0 = config.token_grid()
+    # what head_diversity and attention_distance refuse, refused before any work
+    if config.heads < 2:
+        raise DiagnosticError("head diversity needs at least two heads")
+    if h0 * w0 < 2:
+        raise DiagnosticError(f"grid {(h0, w0)} too small for distances")
     params = {name: p.detach() for name, p in params.items()}
     images = load_dataset(args.data, limit=args.samples).images
     m = len(images)
-    h0, w0 = config.token_grid()
     query = 1 + (h0 // 2) * w0 + w0 // 2  # center patch token
 
     batches = (_probe_batch(images[lo:lo + args.batch_size], params, config,
@@ -227,14 +232,13 @@ def cmd_probe(args) -> int:
     for dist, spec, _ in batches:
         dist_sum += dist
         spec_sum += spec
-    distances = dict(enumerate(dist_sum / m))
-    diversity = {i: probes.head_diversity(d) for i, d in distances.items()}
+    distances = dist_sum / m
+    diversity = np.array([probes.head_diversity(d) for d in distances])
 
     os.makedirs(os.path.join(args.out, "maps"), exist_ok=True)
     probes.write_distances_csv(os.path.join(args.out, "distances.csv"), distances)
     probes.write_diversity_csv(os.path.join(args.out, "diversity.csv"), diversity)
-    probes.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"),
-                              dict(enumerate(spec_sum / m)))
+    probes.write_spectrum_csv(os.path.join(args.out, "spectrum.csv"), spec_sum / m)
     for i, amap in enumerate(maps):
         probes.write_pgm(os.path.join(args.out, "maps", f"layer_{i}.pgm"), amap)
     _write_manifest(args, {"config": config_to_dict(config), "seed": None,

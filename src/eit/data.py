@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .errors import ContractError, LoadError
 
 
@@ -93,10 +93,8 @@ def save_dataset(dataset: Dataset, path):
         raw = np.rint(np.clip(image * 255.0, 0, 255)).astype(np.uint8)
         with atomic_open(os.path.join(path, name), "wb") as f:
             f.write(raw.tobytes())
-    with atomic_open(labels_file, newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["filename", "label"])
-        out.writerows([name, int(label)] for name, label in zip(names, dataset.labels))
+    write_csv(labels_file, ["filename", "label"],
+              ([name, int(label)] for name, label in zip(names, dataset.labels)))
 
 
 def load_dataset(path, limit: int | None = None) -> Dataset:

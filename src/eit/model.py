@@ -506,8 +506,9 @@ def forward(images, params: dict[str, Tensor], config: ModelConfig,
             train: bool = False, rng: np.random.Generator | None = None,
             collect_probes: bool = False):
     """Full model: tokenize, L encoder layers, final norm, classify the
-    class token. With collect_probes=True also returns, per layer, the
-    layer input and attention weights (plain arrays, batch-first)."""
+    class token. With collect_probes=True also returns a list, indexed by
+    layer, of each layer's input and attention weights (plain arrays,
+    batch-first)."""
     if not isinstance(images, Tensor):
         images = Tensor(images)
     schedule = schedule_for(config)
@@ -521,7 +522,7 @@ def forward(images, params: dict[str, Tensor], config: ModelConfig,
             layer_input = x.data.copy()
         x, attn = encoder_layer(x, params, i, config, schedule, grid, train, rng)
         if collect_probes:
-            probes.append({"layer": i, "input": layer_input, "attention": attn})
+            probes.append({"input": layer_input, "attention": attn})
     logits = classify(x, params)
     if collect_probes:
         return logits, probes

@@ -3,12 +3,11 @@ spectrum of layer inputs, and head-averaged attention maps."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .errors import ContractError, DiagnosticError
 
 DEFAULT_BINS = 10
@@ -18,7 +17,6 @@ DEFAULT_BINS = 10
 class ProbeRecord:
     """One layer of one image or a batch: attention weights (..., heads, T, T),
     layer input (..., T, C), the token grid and pixels per grid step."""
-    layer: int
     attention: np.ndarray
     layer_input: np.ndarray
     grid: tuple[int, int]
@@ -68,18 +66,6 @@ def head_diversity(distances: np.ndarray) -> float:
     return float(np.var(distances))
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n)
-
-
-def dft2(grid: np.ndarray) -> np.ndarray:
-    """Direct (non-FFT) 2D discrete Fourier transform over the two trailing
-    axes of an (..., H, W) array."""
-    h, w = grid.shape[-2:]
-    return _dft_matrix(h) @ grid.astype(np.complex128) @ _dft_matrix(w).T
-
-
 def radial_bin_index(grid: tuple[int, int], bins: int) -> np.ndarray:
     """Bin index per DFT coefficient. Frequencies are centered, the radius
     is normalized so the axis Nyquist lands at pi, and radii beyond pi
@@ -97,14 +83,14 @@ def radial_bin_index(grid: tuple[int, int], bins: int) -> np.ndarray:
 def frequency_share(rec: ProbeRecord, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Histogram of spectral magnitude over normalized radial frequency
     [0, pi]: shape (..., bins). Per channel the patch tokens (class token
-    excluded) are reshaped to the grid and transformed; magnitudes are
+    excluded) are reshaped to the grid and transformed (FFT); magnitudes are
     summed over channels and normalized by the total mass."""
     if bins < 1:
         raise DiagnosticError(f"frequency share needs at least one bin, got {bins}")
     h, w = rec.grid
     patches = rec.layer_input[..., 1:, :]
-    grids = np.swapaxes(patches, -1, -2).reshape(*patches.shape[:-2], -1, h, w)
-    mag = np.abs(dft2(grids)).sum(axis=-3).reshape(-1, h * w)
+    grids = patches.reshape(*patches.shape[:-2], h, w, patches.shape[-1])
+    mag = np.abs(np.fft.fft2(grids, axes=(-3, -2))).sum(axis=-1).reshape(-1, h * w)
     # one bincount over (image, bin) pairs, summed in coefficient order
     idx = radial_bin_index(rec.grid, bins).ravel() + bins * np.arange(len(mag))[:, None]
     hist = np.bincount(idx.ravel(), mag.ravel(), len(mag) * bins).reshape(-1, bins)
@@ -135,30 +121,25 @@ def mean_distances(records: list[ProbeRecord]) -> np.ndarray:
     return np.mean([attention_distance(r) for r in records], axis=0)
 
 
-def write_distances_csv(path, per_layer: dict[int, np.ndarray]):
-    with atomic_open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["layer", "head", "distance_px"])
-        for layer in sorted(per_layer):
-            for head, dist in enumerate(per_layer[layer]):
-                out.writerow([layer, head, repr(float(dist))])
+def _rows(table: np.ndarray):
+    """One row per entry, in index order (layer-major): the entry's indices,
+    then its value as ``repr``, which reads back to the same float."""
+    return ([*index, repr(float(v))] for index, v in np.ndenumerate(table))
 
 
-def write_diversity_csv(path, per_layer: dict[int, float]):
-    with atomic_open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["layer", "diversity"])
-        for layer in sorted(per_layer):
-            out.writerow([layer, repr(float(per_layer[layer]))])
+def write_distances_csv(path, distances: np.ndarray):
+    """Per-layer head distances, (layers, heads)."""
+    write_csv(path, ["layer", "head", "distance_px"], _rows(distances))
 
 
-def write_spectrum_csv(path, per_layer: dict[int, np.ndarray]):
-    with atomic_open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["layer", "bin", "share"])
-        for layer in sorted(per_layer):
-            for b, share in enumerate(per_layer[layer]):
-                out.writerow([layer, b, repr(float(share))])
+def write_diversity_csv(path, diversity: np.ndarray):
+    """Per-layer head diversity, (layers,)."""
+    write_csv(path, ["layer", "diversity"], _rows(diversity))
+
+
+def write_spectrum_csv(path, spectrum: np.ndarray):
+    """Per-layer frequency shares, (layers, bins)."""
+    write_csv(path, ["layer", "bin", "share"], _rows(spectrum))
 
 
 def write_pgm(path, image: np.ndarray):

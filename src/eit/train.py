@@ -3,14 +3,13 @@ rate, seeded shuffling and optional horizontal flip. Small by design; it
 exists to exercise gradients end to end and to produce checkpoints the
 probes can read."""
 
-import csv
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 from .data import Dataset
 from .errors import ConfigError, ContractError, DivergenceError
 from .model import ModelConfig, Tensor, check_field_types, forward, \
@@ -195,9 +194,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
 def write_metrics_csv(path, metrics: list[dict]):
     cols = ["epoch", "step", "lr", "train_loss", "train_acc",
             "eval_loss", "eval_acc"]
-    with atomic_open(path, "w", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(cols)
-        for row in metrics:
-            out.writerow([row["epoch"], row["step"]] +
-                         [repr(float(row[c])) for c in cols[2:]])
+    write_csv(path, cols, ([row["epoch"], row["step"]] +
+                           [repr(float(row[c])) for c in cols[2:]]
+                           for row in metrics))

@@ -180,7 +180,7 @@ def test_6_diagnostics_correctness():
             t = 1 + g * g
             a = rng.random((3, t, t)) + 1e-3
             a /= a.sum(axis=-1, keepdims=True)
-            rec = probes.ProbeRecord(0, a, np.zeros((t, 2)), (g, g), 1.5)
+            rec = probes.ProbeRecord(a, np.zeros((t, 2)), (g, g), 1.5)
             dist = probes.attention_distance(rec)
             for head in range(3):
                 acc = 0.0
@@ -193,18 +193,18 @@ def test_6_diagnostics_correctness():
                 assert abs(dist[head] - acc / (g * g)) <= 1e-9
         g, t = 4, 17
         attn = np.full((1, t, t), 1.0 / t)
-        const = probes.ProbeRecord(0, attn, np.ones((t, 3)), (g, g), 1.0)
+        const = probes.ProbeRecord(attn, np.ones((t, 3)), (g, g), 1.0)
         shares = probes.frequency_share(const, bins=10)
         assert shares[0] == pytest.approx(1.0) and shares[1:].max() <= 1e-12
         j = np.arange(g)
         cb = np.where((j[:, None] + j[None, :]) % 2 == 0, 1.0, -1.0)
         board = probes.ProbeRecord(
-            0, attn, np.concatenate([[np.zeros(1)], cb.reshape(-1, 1)]),
+            attn, np.concatenate([[np.zeros(1)], cb.reshape(-1, 1)]),
             (g, g), 1.0)
         shares = probes.frequency_share(board, bins=10)
         assert shares[-1] == pytest.approx(1.0)
         for _ in range(20):
-            rec = probes.ProbeRecord(0, attn, rng.standard_normal((t, 4)),
+            rec = probes.ProbeRecord(attn, rng.standard_normal((t, 4)),
                                      (g, g), 1.0)
             assert abs(probes.frequency_share(rec, 10).sum() - 1.0) <= 1e-9
 

@@ -329,6 +329,81 @@ class TestPipeline:
                          "--data", str(data), "--out", str(tmp_path / "run")])
         assert code == 2
 
+    def test_tables_keep_header_row_order_and_exact_values(
+            self, micro_cfg, train_cfg, tmp_path):
+        """Every CSV table: its exact header, rows in index order (layer-major
+        for the probe tables) and each float written as its own repr."""
+        data, run, probe = tmp_path / "data", tmp_path / "run", tmp_path / "probe"
+        assert main(["gen-data", "--out", str(data), "--n", "6",
+                     "--size", "8", "--seed", "1"]) == 0
+        assert main(["train", "--config", micro_cfg, "--train-config", train_cfg,
+                     "--data", str(data), "--out", str(run)]) == 0
+        assert main(["probe", "--checkpoint", str(run / "model.ckpt"),
+                     "--data", str(data), "--out", str(probe),
+                     "--bins", "3"]) == 0
+
+        def table(path, header):
+            lines = path.read_text().splitlines()
+            assert lines[0] == header
+            return [line.split(",") for line in lines[1:]]
+
+        def exact(value):
+            assert repr(float(value)) == value
+            return float(value)
+
+        layers, heads = MICRO_CFG["layers"], MICRO_CFG["heads"]
+        rows = table(data / "labels.csv", "filename,label")
+        assert [r[0] for r in rows] == [f"img_{i:05d}.raw" for i in range(6)]
+        assert all(r[1] in ("0", "1") for r in rows)
+        rows = table(run / "metrics.csv",
+                     "epoch,step,lr,train_loss,train_acc,eval_loss,eval_acc")
+        assert [r[:2] for r in rows] == [["0", "1"], ["1", "2"]]
+        for r in rows:
+            for v in r[2:]:
+                exact(v)
+        rows = table(probe / "distances.csv", "layer,head,distance_px")
+        assert [r[:2] for r in rows] == [[str(i), str(h)] for i in range(layers)
+                                         for h in range(heads)]
+        distances = np.array([exact(r[2]) for r in rows]).reshape(layers, heads)
+        rows = table(probe / "diversity.csv", "layer,diversity")
+        assert [r[0] for r in rows] == [str(i) for i in range(layers)]
+        assert [exact(r[1]) for r in rows] == [float(np.var(d)) for d in distances]
+        rows = table(probe / "spectrum.csv", "layer,bin,share")
+        assert [r[:2] for r in rows] == [[str(i), str(b)] for i in range(layers)
+                                         for b in range(3)]
+        for r in rows:
+            exact(r[2])
+
+    @pytest.mark.parametrize("override", [{"heads": 1},
+                                          {"eitp": {**MICRO_CFG["eitp"], "pool": 8}}],
+                             ids=["one-head", "one-token"])
+    def test_probe_refuses_what_it_cannot_measure_up_front(self, override,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+        """Head diversity needs two heads and attention distance two patch
+        tokens: the probe exits 1 before any forward pass and writes no CSV."""
+        from eit import checkpoint, cli
+        from eit.model import init_params
+        cfg = config_from_dict({**MICRO_CFG, **override})
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save(ckpt, init_params(cfg, 0), cfg)
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--n", "2",
+                     "--size", "8"]) == 0
+        calls = []
+        forward = cli.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+        monkeypatch.setattr(cli, "forward", counted)
+        out = tmp_path / "probe"
+        assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not calls
+        assert not list(out.rglob("*.csv"))
+
     def test_probe_bad_checkpoint_exits_1(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")

@@ -28,8 +28,8 @@ class TestSynthetic:
         def low_mass(img):
             g = 16
             tokens = np.concatenate([[np.zeros(1)], img[0].reshape(-1, 1)])
-            rec = ProbeRecord(0, np.full((1, 1 + g * g, 1 + g * g),
-                                         1.0 / (1 + g * g)),
+            rec = ProbeRecord(np.full((1, 1 + g * g, 1 + g * g),
+                                      1.0 / (1 + g * g)),
                               tokens, (g, g), 1.0)
             return frequency_share(rec, bins=10)[:5].sum()
         low0 = [low_mass(ds.images[i]) for i in range(len(ds)) if ds.labels[i] == 0]

@@ -63,6 +63,26 @@ def test_micro_training_forward_calls_every_timed_name(monkeypatch):
     assert all(calls.values()), calls
 
 
+def micro_probe_argv(tmp_path, micro: dict) -> list[str]:
+    """``eit probe`` on a MICRO checkpoint and two synthetic images."""
+    cfg = eit.model.config_from_dict(micro)
+    eit.checkpoint.save(tmp_path / "m.ckpt", eit.model.init_params(cfg, 0), cfg)
+    eit.data.save_dataset(eit.data.generate_synthetic(2, cfg.image[0]),
+                          tmp_path / "data")
+    return ["probe", "--checkpoint", str(tmp_path / "m.ckpt"),
+            "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+
+
+def count_calls(monkeypatch, ns, name: str, calls: list):
+    """Replace ``ns.name`` by a wrapper that appends ``name`` to ``calls``."""
+    fn = getattr(ns, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(ns, name, counted)
+
+
 @pytest.mark.parametrize("command", ["gradcheck", "probe"])
 def test_micro_cli_command_calls_cli_forward(command, monkeypatch, tmp_path):
     """The traced gradcheck-micro and probe-small runs take their per-layer
@@ -71,23 +91,30 @@ def test_micro_cli_command_calls_cli_forward(command, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(PERFBENCH)
     import workloads
 
-    cfg = eit.model.config_from_dict(workloads.MICRO)
     if command == "gradcheck":
         path = tmp_path / "micro.json"
         path.write_text(json.dumps(workloads.MICRO))
-        argv = ["gradcheck", "--config", str(path)]
+        argv = ["gradcheck", "--config", str(path), "--out", str(tmp_path / "out")]
     else:
-        eit.checkpoint.save(tmp_path / "m.ckpt", eit.model.init_params(cfg, 0), cfg)
-        eit.data.save_dataset(eit.data.generate_synthetic(2, cfg.image[0]),
-                              tmp_path / "data")
-        argv = ["probe", "--checkpoint", str(tmp_path / "m.ckpt"),
-                "--data", str(tmp_path / "data")]
+        argv = micro_probe_argv(tmp_path, workloads.MICRO)
     calls = []
-    forward = eit.cli.forward
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return forward(*args, **kwargs)
-    monkeypatch.setattr(eit.cli, "forward", counted)
-    assert eit.cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+    count_calls(monkeypatch, eit.cli, "forward", calls)
+    assert eit.cli.main(argv) == 0
     assert calls
+
+
+def test_micro_probe_calls_every_timed_probe_name(monkeypatch, tmp_path):
+    """Traced probe-small times these names as ``probes.record``,
+    ``probes.frequency_share`` and ``probes.write``; one the command stops
+    calling through ``eit.probes`` would read 0 s instead of failing."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    argv = micro_probe_argv(tmp_path, workloads.MICRO)
+    names = ("ProbeRecord", "frequency_share", "write_distances_csv",
+             "write_diversity_csv", "write_spectrum_csv", "write_pgm")
+    calls = []
+    for name in names:
+        count_calls(monkeypatch, eit.probes, name, calls)
+    assert eit.cli.main(argv) == 0
+    assert set(calls) == set(names)

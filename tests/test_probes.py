@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from eit.errors import ContractError, DiagnosticError
-from eit.probes import (ProbeRecord, attention_distance, attention_map, dft2,
+from eit.probes import (ProbeRecord, attention_distance, attention_map,
                         frequency_share, grid_distances, head_diversity,
                         mean_distances, radial_bin_index, write_pgm)
 
 from oracles import dft2_loops
 
 
-def make_record(attention, layer_input=None, grid=(2, 2), spacing=1.0, layer=0):
+def make_record(attention, layer_input=None, grid=(2, 2), spacing=1.0):
     t = 1 + grid[0] * grid[1]
     if layer_input is None:
         layer_input = np.zeros((t, 3))
-    return ProbeRecord(layer, attention, layer_input, grid, spacing)
+    return ProbeRecord(attention, layer_input, grid, spacing)
 
 
 def random_row_stochastic(rng, heads, t):
@@ -183,30 +183,29 @@ class TestFrequencyShare:
         np.testing.assert_allclose(
             frequency_share(make_record(a, -3.7 * x, (3, 3))), base, atol=1e-12)
 
-    def test_dft_matches_double_loop_and_parseval(self):
+    def test_matches_loop_dft_oracle(self):
+        # a batch of 2 on a non-square grid, so a swapped axis shows
         rng = np.random.default_rng(5)
-        for h, w in [(2, 2), (3, 4), (4, 4)]:
-            grid = rng.standard_normal((h, w))
-            spec = dft2(grid)
-            np.testing.assert_allclose(spec, dft2_loops(grid), atol=1e-9)
-            # Parseval: sum |F|^2 == N * sum |x|^2
-            assert np.sum(np.abs(spec) ** 2) == pytest.approx(
-                h * w * np.sum(grid ** 2), abs=1e-9)
+        n, (h, w), channels, bins = 2, (3, 5), 4, 7
+        t = 1 + h * w
+        x = rng.standard_normal((n, t, channels))
+        a = random_row_stochastic(rng, n, t).reshape(n, 1, t, t)
+        idx = radial_bin_index((h, w), bins)
+        want = np.zeros((n, bins))
+        for i in range(n):
+            mag = sum(np.abs(dft2_loops(x[i, 1:, c].reshape(h, w)))
+                      for c in range(channels))
+            for b in range(bins):
+                want[i, b] = mag[idx == b].sum() / mag.sum()
+        np.testing.assert_allclose(
+            frequency_share(make_record(a, x, (h, w)), bins), want,
+            rtol=1e-12, atol=1e-12)
 
     def test_radial_bins_cover_everything(self):
         idx = radial_bin_index((8, 8), 10)
         assert idx.min() == 0 and idx.max() == 9
         assert idx[0, 0] == 0  # DC
         assert idx[4, 4] == 9  # corner (Nyquist both axes) folds into last bin
-
-    def test_dft_transforms_trailing_axes_of_a_stack(self):
-        stack = np.random.default_rng(6).standard_normal((3, 2, 3, 4))
-        spec = dft2(stack)
-        assert spec.shape == stack.shape
-        for i in range(3):
-            for j in range(2):
-                np.testing.assert_allclose(spec[i, j], dft2_loops(stack[i, j]),
-                                           atol=1e-9)
 
     def test_batch_equals_stacked_images(self):
         batch, images = batch_and_images(9)
