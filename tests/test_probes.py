@@ -21,6 +21,15 @@ def random_row_stochastic(rng, heads, t):
     return a / a.sum(axis=-1, keepdims=True)
 
 
+def loop_dft_shares(layer_input, grid, bins):
+    """Spectrum shares of one image's (T, C) tokens from the loop DFT."""
+    h, w = grid
+    mag = sum(np.abs(dft2_loops(layer_input[1:, c].reshape(h, w)))
+              for c in range(layer_input.shape[-1]))
+    idx = radial_bin_index(grid, bins)
+    return np.array([mag[idx == b].sum() for b in range(bins)]) / mag.sum()
+
+
 class TestProbeRecord:
     def test_rejects_non_stochastic_attention(self):
         with pytest.raises(ContractError):
@@ -183,6 +192,33 @@ class TestFrequencyShare:
         np.testing.assert_allclose(
             frequency_share(make_record(a, -3.7 * x, (3, 3))), base, atol=1e-12)
 
+    def test_dft_matches_double_loop_and_parseval(self):
+        rng = np.random.default_rng(5)
+        for h, w in [(2, 2), (3, 4), (4, 4)]:
+            x = rng.standard_normal((1 + h * w, 3))
+            a = random_row_stochastic(rng, 1, 1 + h * w)
+            # Parseval: sum |F|^2 == N * sum |x|^2 keeps the loop oracle honest
+            for c in range(3):
+                grid = x[1:, c].reshape(h, w)
+                assert np.sum(np.abs(dft2_loops(grid)) ** 2) == pytest.approx(
+                    h * w * np.sum(grid ** 2), abs=1e-9)
+            np.testing.assert_allclose(
+                frequency_share(make_record(a, x, (h, w)), 7),
+                loop_dft_shares(x, (h, w), 7), rtol=1e-12, atol=1e-12)
+
+    def test_dft_transforms_trailing_axes_of_a_stack(self):
+        rng = np.random.default_rng(6)
+        (h, w), t = (3, 4), 13
+        x = rng.standard_normal((3, 2, t, 2))
+        a = random_row_stochastic(rng, 6, t).reshape(3, 2, 1, t, t)
+        shares = frequency_share(make_record(a, x, (h, w)), 5)
+        assert shares.shape == (3, 2, 5)
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_allclose(
+                    shares[i, j], loop_dft_shares(x[i, j], (h, w), 5),
+                    rtol=1e-12, atol=1e-12)
+
     def test_matches_loop_dft_oracle(self):
         # a batch of 2 on a non-square grid, so a swapped axis shows
         rng = np.random.default_rng(5)
@@ -190,13 +226,7 @@ class TestFrequencyShare:
         t = 1 + h * w
         x = rng.standard_normal((n, t, channels))
         a = random_row_stochastic(rng, n, t).reshape(n, 1, t, t)
-        idx = radial_bin_index((h, w), bins)
-        want = np.zeros((n, bins))
-        for i in range(n):
-            mag = sum(np.abs(dft2_loops(x[i, 1:, c].reshape(h, w)))
-                      for c in range(channels))
-            for b in range(bins):
-                want[i, b] = mag[idx == b].sum() / mag.sum()
+        want = np.stack([loop_dft_shares(x[i], (h, w), bins) for i in range(n)])
         np.testing.assert_allclose(
             frequency_share(make_record(a, x, (h, w)), bins), want,
             rtol=1e-12, atol=1e-12)
