@@ -1,10 +1,11 @@
 """Checkpoint file format.
 
-Layout: 8-byte magic "EITCKPT1", an 8-byte little-endian header length,
-a JSON header, then the raw little-endian tensor payloads in header order,
-back to back, ending the file. The header records the model config and,
-per tensor, shape / dtype / byte offset into the payload region. Every
-tensor is float64, tagged "f64".
+Layout: 8-byte magic "EITCKPT2", an 8-byte little-endian header length, a
+JSON header that is the model config (``config_to_dict``) and nothing else,
+then every tensor of ``param_shapes(config)``, in that order, as raw
+little-endian float64, back to back, ending the file. The model is
+pyramid-free, so each tensor's name, shape and offset follow from the config
+and the header holds no table of them.
 """
 
 from __future__ import annotations
@@ -16,33 +17,29 @@ import struct
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import LoadError
+from .errors import ContractError, LoadError
 from .model import ModelConfig, Tensor, config_from_dict, config_to_dict, \
     param_shapes
 
-MAGIC = b"EITCKPT1"
+MAGIC = b"EITCKPT2"
 _F64 = np.dtype("<f8")
 
 
-def _is_size(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def save(path, params: dict[str, Tensor], config: ModelConfig):
-    """Write atomically: a save that fails leaves any earlier file intact."""
-    tensors = {}
-    offset = 0
-    for name, t in params.items():
-        tensors[name] = {"shape": list(t.shape), "dtype": "f64", "offset": offset}
-        offset += t.data.size * _F64.itemsize
-    header = json.dumps({"config": config_to_dict(config),
-                         "tensors": tensors}).encode()
+    """Write atomically: a save that fails leaves any earlier file intact.
+    ``params`` must hold exactly the tensors of ``param_shapes(config)``."""
+    layout = {name: shape for name, shape, _, _ in param_shapes(config)}
+    got = {name: t.shape for name, t in params.items()}
+    if got != layout:
+        raise ContractError("parameter tensors do not match the config: "
+                            f"{sorted(got.items() ^ layout.items())}")
+    header = json.dumps(config_to_dict(config)).encode()
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        for t in params.values():
-            f.write(np.ascontiguousarray(t.data, dtype=_F64))
+        for name in layout:
+            f.write(np.ascontiguousarray(params[name].data, dtype=_F64))
 
 
 def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
@@ -55,37 +52,23 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
         raise LoadError(f"{path}: bad magic, not a checkpoint")
     try:
         (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16:16 + hlen])
-        config = config_from_dict(header["config"])
-        tensors = header["tensors"]
-        if not all(isinstance(m, dict) for m in tensors.values()):
-            raise TypeError("'tensors' must map names to objects")
+        config = config_from_dict(json.loads(blob[16:16 + hlen]))
     except Exception as e:
         raise LoadError(f"{path}: malformed header: {e}") from e
-    base = end = 16 + hlen
+    layout = {name: shape for name, shape, _, _ in param_shapes(config)}
+    offset = 16 + hlen
+    need = sum(map(math.prod, layout.values())) * _F64.itemsize
+    have = len(blob) - offset
+    if have < need:
+        raise LoadError(f"{path}: tensor payload out of range: the config "
+                        f"needs {need} bytes, the file holds {max(have, 0)}")
+    if have > need:
+        raise LoadError(f"{path}: {have - need} bytes after the last tensor "
+                        "the config names")
     params = {}
-    for name, meta in tensors.items():
-        dtype = meta.get("dtype")
-        if dtype != "f64":
-            raise LoadError(f"{path}: tensor {name} has dtype {dtype!r}, "
-                            f"only 'f64' is supported")
-        shape, start = meta.get("shape"), meta.get("offset")
-        if not (isinstance(shape, list) and all(map(_is_size, shape))
-                and _is_size(start)):
-            raise LoadError(f"{path}: tensor {name} has bad shape {shape!r} "
-                            f"or offset {start!r}")
-        if base + start != end:  # misaligned or overlapping
-            raise LoadError(f"{path}: tensor {name} offset {start}, expected "
-                            f"{end - base} where the tensor before it ends")
+    for name, shape in layout.items():
         count = math.prod(shape)
-        end += count * _F64.itemsize
-        if end > len(blob):
-            raise LoadError(f"{path}: tensor {name} payload out of range")
-        data = np.frombuffer(blob, _F64, count, base + start).reshape(shape)
+        data = np.frombuffer(blob, _F64, count, offset).reshape(shape)
         params[name] = Tensor(data.copy(), requires_grad=True)
-    if end != len(blob):
-        raise LoadError(f"{path}: {len(blob) - end} bytes after the last tensor")
-    expected = {name: shape for name, shape, _, _ in param_shapes(config)}
-    if {name: t.shape for name, t in params.items()} != expected:
-        raise LoadError(f"{path}: parameter tensors do not match the config")
+        offset += count * _F64.itemsize
     return params, config

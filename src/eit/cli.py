@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 validation or contract failure, 2 numerical
 failure (gradcheck fail, training divergence). Every command writes a
 manifest.json echoing the resolved configuration and seed, and recording
 what ran it, its wall time and peak RSS. The manifest and the outputs of
-describe, gradcheck, train and probe are written atomically
+describe, gradcheck, train, probe and gen-data are written atomically
 (``atomic.atomic_open``).
 """
 

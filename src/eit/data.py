@@ -115,9 +115,9 @@ def load_dataset(path, limit: int | None = None) -> Dataset:
     if h < 1 or w < 1:
         raise LoadError(f"{sidecar}: image size {h}x{w} is not positive")
     try:
-        with open(labels_file, newline="") as f:
+        with open(labels_file, newline="", encoding="utf-8") as f:
             rows = list(itertools.islice(csv.DictReader(f), limit))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:  # csv: huge field
         raise LoadError(f"cannot read {labels_file}: {e}") from e
     if not rows:
         raise LoadError(f"{labels_file} lists no samples")

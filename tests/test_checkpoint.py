@@ -9,9 +9,10 @@ import pytest
 
 from eit import checkpoint
 from eit.cli import main
-from eit.errors import LoadError
-from eit.model import (ConvBranch, ModelConfig, PatchStage, Tensor, forward,
-                       init_params)
+from eit.errors import ContractError, LoadError
+from eit.model import (BRANCH_STYLES, POS_EMBED_MODES, SPLIT_POLICIES,
+                       ConvBranch, ModelConfig, PatchStage, Tensor,
+                       config_to_dict, forward, init_params, param_shapes)
 
 MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2, image=(8, 8, 3),
                     eitp=PatchStage(3, 1, 1, 2))
@@ -24,6 +25,16 @@ def roundtrip(tmp_path, cfg=MICRO, seed=0):
     return params, checkpoint.load(path)
 
 
+def write_file(tmp_path, header, arrays):
+    """A checkpoint written by hand: magic, header length, the JSON
+    ``header``, then the f64 bytes of ``arrays`` back to back."""
+    raw = json.dumps(header).encode()
+    p = tmp_path / "m.ckpt"
+    p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(raw)) + raw +
+                  b"".join(np.asarray(a, "<f8").tobytes() for a in arrays))
+    return p
+
+
 class TestRoundtrip:
     def test_params_bitwise_identical(self, tmp_path):
         params, (back, cfg2) = roundtrip(tmp_path)
@@ -33,10 +44,19 @@ class TestRoundtrip:
             assert (back[name].data == params[name].data).all(), name
             assert back[name].data.dtype == params[name].data.dtype
 
-    def test_forward_bitwise_identical(self, tmp_path):
-        params, (back, cfg2) = roundtrip(tmp_path)
+    @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
+    @pytest.mark.parametrize("style", BRANCH_STYLES)
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_forward_bitwise_identical(self, tmp_path, policy, style,
+                                       pos_embed):
+        cfg = dataclasses.replace(MICRO, split_policy=policy,
+                                  eitt=ConvBranch(branch_style=style),
+                                  pos_embed=pos_embed)
+        params, (back, cfg2) = roundtrip(tmp_path, cfg)
+        assert cfg2 == cfg
+        assert list(back) == [name for name, *_ in param_shapes(cfg)]
         x = np.random.default_rng(0).random((2, 3, 8, 8))
-        a = forward(x, params, MICRO).data
+        a = forward(x, params, cfg).data
         b = forward(x, back, cfg2).data
         assert (a == b).all()
 
@@ -112,77 +132,76 @@ class TestValidation:
             checkpoint.load(p)
 
     def test_conv_bn_relu_checkpoint_with_a_conv_bias_rejected(self, tmp_path):
-        # conv_bn_relu's conv has no bias, as its batch norm would cancel it
+        # conv_bn_relu's conv has no bias, as its batch norm would cancel it;
+        # a file written while it had one holds one tensor more than the
+        # config names
         cfg = dataclasses.replace(MICRO, eitt=ConvBranch(branch_style="conv_bn_relu"))
-        params = init_params(cfg, 0)
-        params["layers.0.conv.bias"] = Tensor(np.zeros(4))
-        p = tmp_path / "m.ckpt"
-        checkpoint.save(p, params, cfg)
+        arrays = []
+        for name, t in init_params(cfg, 0).items():
+            arrays.append(t.data)
+            if name == "layers.0.conv.weight":
+                arrays.append(np.zeros(4))  # layers.0.conv.bias
+        p = write_file(tmp_path, config_to_dict(cfg), arrays)
         with pytest.raises(LoadError, match="config"):
             checkpoint.load(p)
         assert main(["probe", "--checkpoint", str(p), "--data", str(tmp_path),
                      "--out", str(tmp_path / "probe")]) == 1
 
-    @pytest.mark.parametrize("tag", ["f16", "f32"])
-    def test_non_f64_dtype_rejected(self, tmp_path, tag):
+    def test_first_format_rejected(self, tmp_path):
+        # the first format's magic, whose header carried a tensor table
         p = tmp_path / "m.ckpt"
         checkpoint.save(p, init_params(MICRO, 0), MICRO)
-        blob = p.read_bytes()
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        header = blob[16:16 + hlen]
-        assert header.count(b'"dtype": "f64"') == len(init_params(MICRO, 0))
-        header = header.replace(b'"dtype": "f64"', f'"dtype": "{tag}"'.encode(), 1)
-        p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(header)) +
-                      header + blob[16 + hlen:])
-        with pytest.raises(LoadError, match="dtype"):
+        p.write_bytes(b"EITCKPT1" + p.read_bytes()[8:])
+        with pytest.raises(LoadError, match="bad magic"):
             checkpoint.load(p)
+        assert main(["probe", "--checkpoint", str(p), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "probe")]) == 1
 
 
-def edit_header(tmp_path, change):
-    """Save MICRO, apply ``change`` to the parsed JSON header, write it back."""
-    p = tmp_path / "m.ckpt"
-    checkpoint.save(p, init_params(MICRO, 0), MICRO)
-    blob = p.read_bytes()
-    (hlen,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + hlen])
-    change(header)
-    raw = json.dumps(header).encode()
-    p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(raw)) + raw +
-                  blob[16 + hlen:])
-    return p
+class TestSaveContract:
+    """save writes exactly the tensors the config names."""
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda params: params.pop("head.bias"), r"\('head.bias', \(2,\)\)"),
+        (lambda params: params.update(extra=Tensor(np.zeros(3))),
+         r"\('extra', \(3,\)\)"),
+        (lambda params: params.update(
+            {"head.bias": Tensor(np.zeros(3))}), r"\('head.bias', \(3,\)\)")],
+        ids=["missing", "extra", "wrong-shape"])
+    def test_params_that_do_not_match_the_config(self, tmp_path, change,
+                                                 message):
+        params = init_params(MICRO, 0)
+        change(params)
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError, match=message):
+            checkpoint.save(p, params, MICRO)
+        assert not p.exists()
 
-def first_tensor(header):
-    return next(iter(header["tensors"].values()))
+    def test_tensors_written_in_param_shapes_order(self, tmp_path):
+        params = init_params(MICRO, 0)
+        p = tmp_path / "m.ckpt"
+        checkpoint.save(p, dict(reversed(params.items())), MICRO)
+        order = [name for name, *_ in param_shapes(MICRO)]
+        assert p.read_bytes().endswith(b"".join(
+            np.asarray(params[name].data, "<f8").tobytes() for name in order))
 
 
 class TestHostileHeader:
-    def test_missing_tensors(self, tmp_path):
-        p = edit_header(tmp_path, lambda h: h.pop("tensors"))
-        with pytest.raises(LoadError, match="header"):
+    def test_header_with_a_tensor_table(self, tmp_path):
+        # the header is the config and nothing else
+        header = {**config_to_dict(MICRO), "tensors": {}}
+        params = init_params(MICRO, 0)
+        p = write_file(tmp_path, header, [t.data for t in params.values()])
+        with pytest.raises(LoadError, match="malformed header.*tensors"):
             checkpoint.load(p)
 
-    def test_non_numeric_shape(self, tmp_path):
-        p = edit_header(tmp_path, lambda h: first_tensor(h).update(shape="ab"))
-        with pytest.raises(LoadError, match="shape"):
-            checkpoint.load(p)
-
-    def test_negative_offset(self, tmp_path):
-        p = edit_header(tmp_path, lambda h: first_tensor(h).update(offset=-8))
-        with pytest.raises(LoadError, match="offset"):
-            checkpoint.load(p)
-
-    def test_misaligned_offset(self, tmp_path):
-        p = edit_header(tmp_path, lambda h: first_tensor(h).update(offset=3))
-        with pytest.raises(LoadError, match="offset 3, expected 0"):
-            checkpoint.load(p)
-
-    def test_two_tensors_at_one_offset(self, tmp_path):
-        def overlap(header):
-            first, second = list(header["tensors"].values())[:2]
-            second["offset"] = first["offset"]
-        p = edit_header(tmp_path, overlap)
-        with pytest.raises(LoadError, match="offset 0, expected"):
+    def test_header_length_past_the_end(self, tmp_path):
+        # the header is read to the end of the file and parses, but leaves
+        # no room for the tensors
+        raw = json.dumps(config_to_dict(MICRO)).encode()
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(checkpoint.MAGIC + struct.pack("<Q", 2 ** 63) + raw)
+        with pytest.raises(LoadError, match="out of range.*holds 0$"):
             checkpoint.load(p)
 
     def test_trailing_byte(self, tmp_path):

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from eit import checkpoint
+from eit.cli import main
 from eit.data import Dataset, generate_synthetic, load_dataset, save_dataset
 from eit.errors import ContractError, LoadError
+from eit.model import ModelConfig, PatchStage, init_params
 from eit.probes import ProbeRecord, frequency_share
 
 
@@ -129,6 +132,22 @@ class TestRawFormat:
             csv.writer(f).writerows([["filename", "label"], *rows])
         with pytest.raises(LoadError, match=message):
             load_dataset(d)
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"img_\xff.raw,0\n", "utf-8"),
+        (b"x" * 131_073 + b",0\n", "field larger than field limit")],
+        ids=["not-utf-8", "field-over-limit"])
+    def test_unparseable_labels_file(self, tail, message, tmp_path):
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(2, 8, seed=0), d)
+        (d / "labels.csv").write_bytes(b"filename,label\n" + tail)
+        with pytest.raises(LoadError, match=message):
+            load_dataset(d)
+        cfg = ModelConfig(channels=8, layers=1, heads=2, classes=2,
+                          image=(8, 8, 3), eitp=PatchStage(3, 1, 1, 2))
+        checkpoint.save(tmp_path / "m.ckpt", init_params(cfg, 0), cfg)
+        assert main(["probe", "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--data", str(d), "--out", str(tmp_path / "probe")]) == 1
 
     @pytest.mark.parametrize("name", ["absolute", "../x.raw"])
     def test_filename_outside_the_dataset(self, name, tmp_path):
