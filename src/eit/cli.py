@@ -5,7 +5,9 @@ failure (gradcheck fail, training divergence). Every command writes a
 manifest.json echoing the resolved configuration and seed, and recording
 what ran it, its wall time and peak RSS. The manifest and the outputs of
 describe, gradcheck, train, probe and gen-data are written atomically
-(``atomic.atomic_open``).
+(``atomic.atomic_open``). An ``--out`` that cannot be a directory (an
+existing file, or a path under one) is refused before any work, and a
+failed write is an ``OutputError``: both exit 1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import scipy
 from . import checkpoint, costs, probes
 from .atomic import atomic_open
 from .data import generate_synthetic, load_dataset, save_dataset
-from .errors import ConfigError, DiagnosticError, DivergenceError, EitError
+from .errors import (ConfigError, DiagnosticError, DivergenceError, EitError,
+                     OutputError)
 from .gradcheck import GRADCHECK_TOL, gradcheck, workers, worst_offender
 from .model import (config_from_dict, config_to_dict, forward, init_params,
                     loss_stages, read_json, schedule_for)
@@ -71,6 +74,17 @@ def _write_manifest(args, payload: dict):
            **payload}
     with atomic_open(os.path.join(args.out, "manifest.json")) as f:
         json.dump(doc, f, indent=2, sort_keys=True)
+
+
+def _check_out(path):
+    """Refuse, before any work, an output directory that cannot be made: an
+    existing file or a path under one. Nothing is created; the commands make
+    the directory when they write."""
+    found = os.path.abspath(path)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise OutputError(f"--out {path}: {found} is not a directory")
 
 
 def _check_seed(args):
@@ -151,7 +165,11 @@ def cmd_gradcheck(args) -> int:
     def f():
         return loss(forward(images, params, config))
 
-    stages = loss_stages(images, params, config, loss)
+    # the finite differences perturb params' arrays in place, and detached
+    # tensors share them: the resumed evaluations see each perturbation but
+    # build no graph
+    stages = loss_stages(images, {k: p.detach() for k, p in params.items()},
+                         config, loss)
     counts, refined = Counter(), {}
     report = gradcheck(f, params, step=args.step, stages=stages, counts=counts,
                        refined=refined)
@@ -213,6 +231,7 @@ def cmd_probe(args) -> int:
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be positive, "
                               f"got {getattr(args, flag)}")
+    _check_out(os.path.join(args.out, "maps"))
     params, config = checkpoint.load(args.checkpoint)
     h0, w0 = config.token_grid()
     # what head_diversity and attention_distance refuse, refused before any work
@@ -308,11 +327,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
-        return args.func(args)
+        _check_out(args.out)
+        try:
+            return args.func(args)
+        except OSError as e:  # every read raises a typed error: this is a write
+            raise OutputError(f"cannot write to {args.out}: {e}") from e
     except DivergenceError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except (EitError, FileNotFoundError) as e:
+    except EitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

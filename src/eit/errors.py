@@ -25,6 +25,10 @@ class LoadError(EitError):
     """A dataset or checkpoint file is missing or malformed."""
 
 
+class OutputError(EitError):
+    """A command's output directory or file cannot be written."""
+
+
 class DivergenceError(EitError):
     """Training diverged: a batch or after-epoch evaluation loss was not
     <= train.DIVERGED_LOSS_FACTOR * ln(classes) (so NaN and inf count), or a

@@ -1,11 +1,28 @@
 """Dense tensor engine with reverse-mode differentiation.
 
-A Tensor wraps a float64 numpy array and records the operations applied
-to it so that ``backward()`` can replay the graph in reverse topological
-order. An op's backward returns one gradient per parent; ``backward()``
-sums them over broadcast axes, accumulates them, keeps ``.grad`` only on
-leaves and releases the graph, so a graph is replayed once. Only the
-kernels the model actually needs are implemented: matmul, linear
+A Tensor holds a float64 numpy array (``data``), its gradient (``grad``,
+kept only on leaves) and its graph node, or no node when no gradient
+flows through it. An op's node holds only what its backward needs: the
+backward closure, the parents' nodes (None for a parent that needs no
+gradient) and the output shape. A leaf's node holds a weak reference to
+its Tensor, which receives the gradient, so a parameter and its node form
+no reference cycle. ``backward()`` replays the nodes in reverse
+topological order, sums each gradient over broadcast axes, accumulates it
+and releases the graph, so a graph is replayed once.
+
+No node refers to a Tensor, so an interior Tensor dies with its last
+Python reference, and its array dies with it unless some closure saved
+it. A closure saves exactly what its backward reads: ``*`` and matmul
+both operands, linear its input and weight, softmax and log-softmax
+their output, normalization the standardized input, conv2d the window
+view of its padded input (of the input itself at padding 0), ReLU and
+dropout their masks; sum saves a shape, and indexing and max-pooling a
+shape and indices, or their input when it is not C-contiguous, since the
+gradient takes the input's memory layout. GELU saves its derivative
+Phi(x) + x * density(x), computed in the forward only when x needs a
+gradient, in place of x and Phi(x).
+
+Only the kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
 standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
@@ -34,6 +51,7 @@ All operations are pure: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 from scipy.special import erf
@@ -44,12 +62,20 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _scatter_into_zeros(like: np.ndarray, key, g: np.ndarray,
-                        unique: bool) -> np.ndarray:
-    """Zeros shaped like ``like`` with g added at ``key``. When ``key`` selects
-    no element twice, an assignment does what ``np.add.at`` does, without its
-    slow loop; the + 0.0 turns a -0.0 into +0.0, as adding into zeros does."""
-    gx = np.zeros_like(like)
+def _layout(a: np.ndarray):
+    """What a gradient scattered into zeros needs of ``a``: its shape when it
+    is C-contiguous, else ``a`` itself. The zeros take ``a``'s memory layout,
+    as ``np.zeros_like`` gives it, because later reductions sum in layout
+    order, and a shape alone gives only the C layout."""
+    return a.shape if a.flags.c_contiguous else a
+
+
+def _scatter_into_zeros(like, key, g: np.ndarray, unique: bool) -> np.ndarray:
+    """Zeros laid out as ``like`` (from ``_layout``) with g added at ``key``.
+    When ``key`` selects no element twice, an assignment does what
+    ``np.add.at`` does, without its slow loop; the + 0.0 turns a -0.0 into
+    +0.0, as adding into zeros does."""
+    gx = np.zeros(like) if type(like) is tuple else np.zeros_like(like)
     if unique:
         gx[key] = g + 0.0
     else:
@@ -67,31 +93,51 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """One op's record in the graph, or a leaf's: the backward closure (None
+    for a leaf and once replayed), the parents' nodes (None for a parent
+    that needs no gradient), the shape of the Tensor it stands for and, for
+    a leaf, a weak reference to that Tensor."""
+
+    __slots__ = ("backward", "parents", "shape", "leaf")
+
+    def __init__(self, backward, parents, shape, leaf=None):
+        self.backward = backward
+        self.parents = parents
+        self.shape = shape
+        self.leaf = leaf
+
+
 class Tensor:
-    """Node of the autograd graph."""
+    """An array, its gradient and its node in the autograd graph."""
+
+    __slots__ = ("data", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node = _Node(None, (), self.data.shape, weakref.ref(self)) \
+            if requires_grad else None
 
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
     def _from_op(data, parents, backward):
-        """Node for an op's output. ``backward(g)`` returns one gradient per
-        parent, in order, and writes to no Tensor; ``Tensor.backward``
-        replays the graph once and then releases it."""
+        """Tensor for an op's output. ``backward(g)`` returns one gradient per
+        parent, in order, and writes to no Tensor; it gets a node only when
+        some parent needs a gradient. ``Tensor.backward`` replays the graph
+        once and then releases it."""
         out = Tensor(data)
         for p in parents:
-            if p.requires_grad:
-                out.requires_grad = True
-                out._parents = parents
-                out._backward = backward
+            if p._node is not None:
+                out._node = _Node(backward, tuple([q._node for q in parents]),
+                                  out.data.shape)
                 break
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self):
@@ -119,33 +165,37 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
-        topo: list[Tensor] = []
+        if self._node is None:
+            return
+        topo: list[_Node] = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        grads = {id(self): np.ones_like(self.data)}
+            for p in node.parents:
+                if p is not None:
+                    stack.append((p, False))
+        grads = {self._node: np.ones(self.data.shape)}
         while topo:
             node = topo.pop()
-            g = grads.pop(id(node), None)
-            if node._backward is None:
-                if g is not None:
-                    node.grad = np.array(g) if node.grad is None else node.grad + g
+            g = grads.pop(node, None)
+            if node.backward is None:  # a leaf, or a node replayed before
+                leaf = node.leaf() if node.leaf is not None else None
+                if leaf is not None and g is not None:
+                    leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
                 continue
-            for p, gp in zip(node._parents, node._backward(g), strict=True):
-                if p.requires_grad:
+            for p, gp in zip(node.parents, node.backward(g), strict=True):
+                if p is not None:
                     gp = _unbroadcast(gp, p.shape)
-                    grads[id(p)] = grads[id(p)] + gp if id(p) in grads else gp
-            node._parents, node._backward = (), None
+                    grads[p] = grads[p] + gp if p in grads else gp
+            node.parents, node.backward = (), None
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -160,8 +210,8 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._wrap(other)
-        return Tensor._from_op(self.data * other.data, (self, other),
-                               lambda g: (g * other.data, g * self.data))
+        a, b = self.data, other.data
+        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a))
 
     # ---- shape ops -------------------------------------------------------
 
@@ -186,14 +236,16 @@ class Tensor:
             if type(k) is not slice and type(k) is not int:
                 basic = False
                 break
+        like = _layout(self.data)
         return Tensor._from_op(
             self.data[key], (self,),
-            lambda g: (_scatter_into_zeros(self.data, key, g, basic),))
+            lambda g: (_scatter_into_zeros(like, key, g, basic),))
 
     def sum(self):
         """Sum of every element."""
+        shape = self.shape
         return Tensor._from_op(self.data.sum(), (self,),
-                               lambda g: (np.broadcast_to(g, self.shape),))
+                               lambda g: (np.broadcast_to(g, shape),))
 
     # ---- activations -----------------------------------------------------
 
@@ -203,23 +255,23 @@ class Tensor:
                                lambda g: (g * mask,))
 
     def gelu(self):
-        """Exact Gaussian-CDF GELU: x * Phi(x)."""
+        """Exact Gaussian-CDF GELU: x * Phi(x). Its backward reads only the
+        derivative Phi(x) + x * density(x), computed here when x needs a
+        gradient."""
         x = self.data
         phi = x * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), in place
         erf(phi, out=phi)
         phi += 1.0
         phi *= 0.5
-
-        def back(g):  # g * (phi + x * density(x)), in place
+        d = None
+        if self._node is not None:  # phi + x * density(x), in place
             d = x * -0.5
             d *= x
             np.exp(d, out=d)
             d *= _INV_SQRT_2PI
             d *= x
             d += phi
-            d *= g
-            return (d,)
-        return Tensor._from_op(x * phi, (self,), back)
+        return Tensor._from_op(x * phi, (self,), lambda g: (d * g,))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -236,9 +288,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product over the two trailing axes."""
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul inner mismatch: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
     return Tensor._from_op(
-        a.data @ b.data, (a, b),
-        lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+        ad @ bd, (a, b),
+        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -249,13 +302,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     cin, cout = weight.shape
     if x.shape[-1] != cin or bias.shape != (cout,):
         raise ContractError(f"linear: {x.shape} @ {weight.shape} + {bias.shape}")
-    x2 = x.data.reshape(-1, cin)
-    out = x2 @ weight.data
+    x2, w = x.data.reshape(-1, cin), weight.data
+    xshape, x_grad = x.shape, x.requires_grad
+    out = x2 @ w
     out += bias.data
 
     def back(g):
         g2 = g.reshape(-1, cout)
-        gx = (g2 @ weight.data.T).reshape(x.shape) if x.requires_grad else None
+        gx = (g2 @ w.T).reshape(xshape) if x_grad else None
         return gx, x2.T @ g2, g2.sum(axis=0)
     return Tensor._from_op(out.reshape(*x.shape[:-1], cout), (x, weight, bias),
                            back)
@@ -294,11 +348,12 @@ def normalize(x: Tensor, axes: tuple[int, ...], gain: Tensor, shift: Tensor,
     xhat = x.data - x.data.sum(axis=axes, keepdims=True) * inv_n
     std = np.sqrt((xhat * xhat).sum(axis=axes, keepdims=True) * inv_n + eps)
     xhat /= std
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += shift.data
 
     def back(g):
-        gh = g * gain.data
+        gh = g * gd
         dx = gh - gh.sum(axis=axes, keepdims=True) * inv_n
         dx -= xhat * ((gh * xhat).sum(axis=axes, keepdims=True) * inv_n)
         return dx / std, g * xhat, g
@@ -315,7 +370,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    return Tensor._from_op(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 # ---- convolution and pooling --------------------------------------------
@@ -395,13 +450,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
         out += bias.data[None, :, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    has_bias, x_grad = bias is not None, x.requires_grad
 
     def back(gout):
         gg = gout.reshape(n, g, cog, m)
         cols = win.transpose(1, 0, 5, 6, 2, 3, 4).reshape(g, n * m, k)
         gw = (gg.transpose(1, 2, 0, 3).reshape(g, cog, n * m) @ cols).reshape(wshape)
-        gb = () if bias is None else (gout.sum(axis=(0, 2, 3)),)
-        if not x.requires_grad:  # e.g. the raw image: nothing reads its gradient
+        gb = (gout.sum(axis=(0, 2, 3)),) if has_bias else ()
+        if not x_grad:  # e.g. the raw image: nothing reads its gradient
             return (None, gw, *gb)
         gcol = (wg.transpose(0, 2, 1) @ gg).reshape(n, cin, kh, kw, oh, ow)
         gxp = np.zeros(xp.shape)
@@ -432,6 +488,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     dx += np.arange(0, stride * ow, stride)
     at = (np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], dy, dx)
     disjoint = stride >= window  # then no input element is in two windows
+    like = _layout(x.data)
     return Tensor._from_op(
         x.data[at], (x,),
-        lambda g: (_scatter_into_zeros(x.data, at, g, disjoint),))
+        lambda g: (_scatter_into_zeros(like, at, g, disjoint),))

@@ -498,3 +498,62 @@ class TestGenData:
         assert manifest["seed"] == 3
         labels = (out / "labels.csv").read_text().splitlines()
         assert len(labels) == 1 + 6
+
+
+class TestOutPath:
+    """An --out that cannot be a directory is refused before any work, and a
+    failed write exits 1 with an error, never a traceback."""
+
+    @staticmethod
+    def _argv(command, tmp_path, micro_cfg, tiny_cfg, train_cfg):
+        data, ckpt = str(tmp_path / "data"), str(tmp_path / "m.ckpt")
+        return {"describe": ["describe", "--config", micro_cfg],
+                "gradcheck": ["gradcheck", "--config", micro_cfg],
+                "train": ["train", "--config", tiny_cfg, "--train-config",
+                          train_cfg, "--data", data],
+                "probe": ["probe", "--checkpoint", ckpt, "--data", data],
+                "gen-data": ["gen-data"]}[command]
+
+    @staticmethod
+    def _no_work(monkeypatch):
+        from eit import cli
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command started work")
+        for name in ("read_json", "load_dataset", "generate_synthetic"):
+            monkeypatch.setattr(cli, name, work)
+        monkeypatch.setattr(cli.checkpoint, "load", work)
+
+    @pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["describe", "gradcheck", "train",
+                                         "probe", "gen-data"])
+    def test_refused_before_any_work(self, command, where, tmp_path, micro_cfg,
+                                     tiny_cfg, train_cfg, monkeypatch, capsys):
+        argv = self._argv(command, tmp_path, micro_cfg, tiny_cfg, train_cfg)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "a-file" else blocker / "sub"
+        self._no_work(monkeypatch)
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and "is not a directory" in err
+        assert blocker.read_text() == ""
+
+    def test_probe_maps_that_is_a_file_refused_before_any_work(
+            self, tmp_path, micro_cfg, tiny_cfg, train_cfg, monkeypatch, capsys):
+        out = tmp_path / "probe"
+        out.mkdir()
+        (out / "maps").write_text("")
+        self._no_work(monkeypatch)
+        argv = self._argv("probe", tmp_path, micro_cfg, tiny_cfg, train_cfg)
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_failed_write_exits_1(self, micro_cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "costs.json").mkdir(parents=True)  # a directory in the way
+        assert main(["describe", "--config", micro_cfg,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write to") and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["costs.json"]

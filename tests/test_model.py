@@ -371,8 +371,38 @@ class TestForward:
         params = init_params(MICRO, 0)
         x = np.random.default_rng(4).random((2, 3, 8, 8))
         logits = forward(x, {k: p.detach() for k, p in params.items()}, MICRO)
-        assert not logits.requires_grad and logits._parents == ()
+        assert not logits.requires_grad and logits._node is None
         assert (logits.data == forward(x, params, MICRO).data).all()
+
+    def test_from_op_is_the_one_node_constructor(self, monkeypatch):
+        # perfbench counts graph nodes by patching Tensor._from_op, so a
+        # forward that builds no graph calls it as often as one that does,
+        # and every node made in a forward is made there
+        from eit import tensor
+        params = init_params(MICRO, 0)
+        detached = {k: p.detach() for k, p in params.items()}
+        x = np.random.default_rng(4).random((2, 3, 8, 8))
+        calls, nodes = [], []
+        from_op, node_init = Tensor._from_op, tensor._Node.__init__
+
+        def counted(data, parents, backward):
+            calls.append(1)
+            return from_op(data, parents, backward)
+
+        def made(self, *args, **kwargs):
+            nodes.append(1)
+            node_init(self, *args, **kwargs)
+        monkeypatch.setattr(Tensor, "_from_op", staticmethod(counted))
+        monkeypatch.setattr(tensor._Node, "__init__", made)
+        counts = []
+        for p in (params, detached):
+            calls.clear()
+            nodes.clear()
+            forward(x, p, MICRO)
+            counts.append((len(calls), len(nodes)))
+        (grad_calls, grad_nodes), (detached_calls, detached_nodes) = counts
+        assert grad_calls == detached_calls > 0
+        assert grad_nodes == grad_calls and detached_nodes == 0
 
     @staticmethod
     def _training_node_count(monkeypatch, cfg) -> int:

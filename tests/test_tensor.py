@@ -159,7 +159,7 @@ class TestConv2d:
             b = Tensor(b_data.copy(), requires_grad=True)
             out = conv2d(xt, w, b, 1, 1)
             if not x_grad:  # the input's slot of the backward is left empty
-                assert out._backward(np.ones(out.shape))[0] is None
+                assert out._node.backward(np.ones(out.shape))[0] is None
             (out * out).sum().backward()
             grads.append((xt.grad, w.grad, b.grad))
         (gx_raw, gw_raw, gb_raw), (gx, gw, gb) = grads
@@ -440,7 +440,7 @@ class TestLinear:
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         b = Tensor(rng.standard_normal(5), requires_grad=True)
         out = linear(x, w, b)
-        gx, gw, gb = out._backward(np.ones(out.shape))
+        gx, gw, gb = out._node.backward(np.ones(out.shape))
         assert gx is None and gw.shape == (4, 5) and gb.shape == (5,)
 
     def test_shape_mismatch(self):
@@ -495,7 +495,7 @@ class TestGradientScatter:
         key = (slice(None), slice(1, None, 2), 4)
         g = rng.standard_normal((3, 2))
         g[0, 0], g[1, 1] = -0.0, np.nan
-        (gx,) = x[key]._backward(g)
+        (gx,) = x[key]._node.backward(g)
         want = np.zeros(x.shape)
         np.add.at(want, key, g)
         assert gx.tobytes() == want.tobytes()
@@ -516,7 +516,7 @@ class TestGradientScatter:
         out = maxpool2d(t, window, stride)
         g = rng.standard_normal(out.shape)
         g[0, 0, 0, 0] = -0.0
-        (gx,) = out._backward(g)
+        (gx,) = out._node.backward(g)
         n, c, oh, ow = out.shape
         want = np.zeros_like(x)
         for p in range(oh):
@@ -539,7 +539,7 @@ class TestGelu:
         g = np.random.default_rng(4).standard_normal(1000)
         t = Tensor(x, requires_grad=True)
         y = t.gelu()
-        (gx,) = y._backward(g)
+        (gx,) = y._node.backward(g)
         phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
         dens = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
         assert y.data.tobytes() == (x * phi).tobytes()
@@ -651,6 +651,81 @@ class TestEngineContract:
         (x * 3.0).sum().backward()
         (x * x).sum().backward()
         np.testing.assert_array_equal(x.grad, 3.0 + 2.0 * x.data)
+
+
+def _interior(shape, seed=0):
+    """An op's output that needs a gradient, so no one else holds its array."""
+    leaf = Tensor(np.random.default_rng(seed).standard_normal(shape),
+                  requires_grad=True)
+    return leaf, leaf * 1.0
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    """An op's output keeps its input's array only when its backward reads
+    it: dropping the input Tensor frees the array otherwise."""
+
+    FREED = [
+        ("add", (2, 3), lambda x: x + x),
+        ("sum", (2, 3), lambda x: x.sum()),
+        ("relu", (2, 3), lambda x: x.relu()),
+        ("gelu", (2, 3), lambda x: x.gelu()),
+        ("maxpool2d", (1, 2, 4, 4), lambda x: maxpool2d(x, 2, 2)),
+        ("concat", (2, 3), lambda x: concat([x, x], axis=1)),
+        ("advanced-index", (2, 3),
+         lambda x: x[np.array([0, 1, 1]), np.array([2, 0, 2])]),
+        ("softmax_rows", (2, 3), softmax_rows),
+        ("log_softmax", (2, 3), log_softmax),
+        ("normalize", (2, 3), lambda x: layernorm(
+            x, Tensor(np.ones(3), requires_grad=True),
+            Tensor(np.zeros(3), requires_grad=True))),
+        ("conv2d-padded", (1, 2, 4, 4), lambda x: conv2d(
+            x, Tensor(np.ones((3, 2, 3, 3)), requires_grad=True), None, 1, 1)),
+        ("dropout", (2, 3),
+         lambda x: dropout(x, 0.5, np.random.default_rng(0)))]
+    KEPT = [
+        ("matmul", (2, 3), lambda x: matmul(x, Tensor(np.ones((3, 2))))),
+        ("mul", (2, 3), lambda x: x * Tensor(np.ones(3))),
+        ("linear", (2, 3), lambda x: linear(
+            x, Tensor(np.ones((3, 2)), requires_grad=True),
+            Tensor(np.zeros(2), requires_grad=True)))]
+
+    @staticmethod
+    def _apply_and_drop(shape, op):
+        leaf, x = _interior(shape)
+        array = weakref.ref(x.data)
+        y = op(x)
+        del x
+        return leaf, y, array
+
+    @pytest.mark.parametrize("name, shape, op", FREED,
+                             ids=[c[0] for c in FREED])
+    def test_input_array_freed(self, name, shape, op):
+        leaf, y, array = self._apply_and_drop(shape, op)
+        assert array() is None
+        assert np.isfinite(y.data).all()
+        (y * y).sum().backward()  # the graph still replays
+        assert leaf.grad.shape == leaf.shape
+
+    @pytest.mark.parametrize("name, shape, op", KEPT,
+                             ids=[c[0] for c in KEPT])
+    def test_input_array_kept_when_backward_reads_it(self, name, shape, op):
+        _, y, array = self._apply_and_drop(shape, op)
+        assert array() is not None and y.requires_grad
+
+    def test_interior_tensor_dies_with_its_last_reference(self):
+        _, x = _interior((2, 3))
+        ref = weakref.ref(x)
+        y = x.relu()
+        del x
+        assert ref() is None and y.requires_grad
+
+    def test_a_leaf_is_not_kept_alive_by_the_graph(self):
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        ref = weakref.ref(leaf)
+        loss = (leaf * 2.0).sum()
+        del leaf
+        assert ref() is None
+        loss.backward()  # a dead leaf's gradient goes nowhere
 
 
 class TestPerNodeOverhead:

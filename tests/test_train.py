@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -106,6 +108,38 @@ class TestSgdStep:
         with pytest.raises(ContractError):
             sgd_step({"w": Tensor(np.zeros(3))}, {"w": np.zeros(4)},
                      0.1, 0.9, {})
+
+
+class TestNoReferenceCycles:
+    """A training step leaves no reference cycle: with the cyclic collector
+    off, dropping the step's names frees every parameter and gradient."""
+
+    MICRO = ModelConfig(channels=8, layers=2, heads=2, classes=2,
+                        image=(8, 8, 3), eitp=PatchStage(3, 1, 1, 2))
+
+    @pytest.mark.parametrize("replayed", [True, False],
+                             ids=["after-backward", "graph-never-replayed"])
+    def test_params_freed_without_the_cyclic_collector(self, replayed):
+        rng = np.random.default_rng(0)
+        images, labels = rng.random((2, 3, 8, 8)), np.array([0, 1])
+        gc.collect()
+        gc.disable()
+        try:
+            params = init_params(self.MICRO, 0)
+            logits = forward(images, params, self.MICRO, train=True, rng=rng)
+            loss = cross_entropy(logits, labels)
+            if replayed:
+                loss.backward()
+                grads = {k: p.grad for k, p in params.items()}
+                sgd_step(params, grads, 0.1, 0.9, {})
+                del grads
+            refs = [weakref.ref(p) for p in params.values()]
+            if replayed:
+                refs += [weakref.ref(p.grad) for p in params.values()]
+            del params, logits, loss
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestTrainConfig:
