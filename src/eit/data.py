@@ -121,7 +121,6 @@ def load_dataset(path, limit: int | None = None) -> Dataset:
         raise LoadError(f"cannot read {labels_file}: {e}") from e
     if not rows:
         raise LoadError(f"{labels_file} lists no samples")
-    images = np.empty((len(rows), 3, h, w))
     labels = np.empty(len(rows), dtype=np.int64)
     expected = 3 * h * w
     root = os.path.realpath(path)
@@ -141,6 +140,8 @@ def load_dataset(path, limit: int | None = None) -> Dataset:
         if raw.size != expected:
             raise LoadError(f"{fpath}: got {raw.size} bytes, expected {expected} "
                             f"for 3x{h}x{w}")
+        if i == 0:  # only now does a file vouch for the sidecar's size
+            images = np.empty((len(rows), 3, h, w))
         images[i] = raw.reshape(3, h, w) / 255.0
     if (labels < 0).any():
         raise LoadError(f"{labels_file}: negative label")

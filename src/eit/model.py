@@ -379,9 +379,10 @@ def eitp_embed(images: Tensor, params: dict[str, Tensor],
     n = images.shape[0]
     x = conv2d(images, params["eitp.weight"], params["eitp.bias"],
                config.eitp.stride, config.eitp.padding)
-    x = maxpool2d(x, config.eitp.pool, config.eitp.pool)
+    x = maxpool2d(x, config.eitp.pool)
     h0, w0 = config.token_grid()
-    x = x.reshape(n, config.channels, h0 * w0).transpose(0, 2, 1)
+    # a view: (N, T, C) tokens, channel-major in memory like the pooled map
+    x = x.transpose(0, 2, 3, 1).reshape(n, h0 * w0, config.channels)
     cls = params["cls_token"] + Tensor(np.zeros((n, 1, config.channels)))
     x = concat([cls, x], axis=1)
     if config.pos_embed == "trainable":

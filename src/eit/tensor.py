@@ -16,9 +16,8 @@ it. A closure saves exactly what its backward reads: ``*`` and matmul
 both operands, linear its input and weight, softmax and log-softmax
 their output, normalization the standardized input, conv2d the window
 view of its padded input (of the input itself at padding 0), ReLU and
-dropout their masks; sum saves a shape, and indexing and max-pooling a
-shape and indices, or their input when it is not C-contiguous, since the
-gradient takes the input's memory layout. GELU saves its derivative
+dropout their masks; sum saves a shape, and indexing and max-pooling
+their input's shape and the indices. GELU saves its derivative
 Phi(x) + x * density(x), computed in the forward only when x needs a
 gradient, in place of x and Phi(x).
 
@@ -26,7 +25,8 @@ Only the kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
 standard/grouped/depthwise 2D convolution, max-pooling, softmax and
 log-softmax, normalization (layer and batch norm), GELU/ReLU, slicing and
-channel concatenation, plus add, multiply and a full sum.
+channel concatenation, plus add, multiply and a full sum. Max-pooling
+takes disjoint windows only (stride = window).
 
 Convolution is a strided-window GEMM: ``_windows`` views every kernel
 window of the input through its strides, without a copy; the windows are
@@ -62,20 +62,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _layout(a: np.ndarray):
-    """What a gradient scattered into zeros needs of ``a``: its shape when it
-    is C-contiguous, else ``a`` itself. The zeros take ``a``'s memory layout,
-    as ``np.zeros_like`` gives it, because later reductions sum in layout
-    order, and a shape alone gives only the C layout."""
-    return a.shape if a.flags.c_contiguous else a
-
-
-def _scatter_into_zeros(like, key, g: np.ndarray, unique: bool) -> np.ndarray:
-    """Zeros laid out as ``like`` (from ``_layout``) with g added at ``key``.
-    When ``key`` selects no element twice, an assignment does what
-    ``np.add.at`` does, without its slow loop; the + 0.0 turns a -0.0 into
-    +0.0, as adding into zeros does."""
-    gx = np.zeros(like) if type(like) is tuple else np.zeros_like(like)
+def _scatter_into_zeros(shape, key, g: np.ndarray, unique: bool) -> np.ndarray:
+    """Zeros of ``shape`` with g added at ``key``. When ``key`` selects no
+    element twice, an assignment does what ``np.add.at`` does, without its
+    slow loop; the + 0.0 turns a -0.0 into +0.0, as adding into zeros does."""
+    gx = np.zeros(shape)
     if unique:
         gx[key] = g + 0.0
     else:
@@ -236,10 +227,10 @@ class Tensor:
             if type(k) is not slice and type(k) is not int:
                 basic = False
                 break
-        like = _layout(self.data)
+        shape = self.shape
         return Tensor._from_op(
             self.data[key], (self,),
-            lambda g: (_scatter_into_zeros(like, key, g, basic),))
+            lambda g: (_scatter_into_zeros(shape, key, g, basic),))
 
     def sum(self):
         """Sum of every element."""
@@ -470,25 +461,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1,
     return Tensor._from_op(out, parents, back)
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling; the gradient flows to the first (row-major) argmax of
-    each window."""
+def maxpool2d(x: Tensor, window: int) -> Tensor:
+    """Max pooling over disjoint window x window blocks (stride = window);
+    the gradient flows to the first (row-major) argmax of each block."""
     if x.ndim != 4:
         raise ContractError(f"maxpool2d: expected NCHW input, got {x.shape}")
     n, c, h, w = x.shape
-    oh, ow = out_size(h, window, stride), out_size(w, window, stride)
+    oh, ow = out_size(h, window, window), out_size(w, window, window)
     # Per image: gathering the whole batch's windows would copy the input.
     idx = np.empty((n, c, oh, ow), dtype=np.intp)
     xc = np.ascontiguousarray(x.data)  # the model's conv output already is
     for i in range(n):
-        win = _windows(xc[i:i + 1], window, window, stride)[0, 0]
+        win = _windows(xc[i:i + 1], window, window, window)[0, 0]
         idx[i] = win.transpose(0, 3, 4, 1, 2).reshape(c, oh, ow, -1).argmax(axis=-1)
     dy, dx = np.divmod(idx, window)  # argmax's place in its window
-    dy += np.arange(0, stride * oh, stride)[:, None]
-    dx += np.arange(0, stride * ow, stride)
+    dy += np.arange(0, window * oh, window)[:, None]
+    dx += np.arange(0, window * ow, window)
     at = (np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], dy, dx)
-    disjoint = stride >= window  # then no input element is in two windows
-    like = _layout(x.data)
+    shape = x.shape
     return Tensor._from_op(
         x.data[at], (x,),
-        lambda g: (_scatter_into_zeros(like, at, g, disjoint),))
+        lambda g: (_scatter_into_zeros(shape, at, g, True),))

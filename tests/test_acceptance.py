@@ -109,7 +109,7 @@ def test_3_gradient_correctness():
         check(lambda: conv2d(x, w, b, 1, 1).sum(),
               {"x": x, "w": w, "b": b})
         y = Tensor(rng.standard_normal((1, 3, 6, 6)), requires_grad=True)
-        check(lambda: (maxpool2d(y, 2, 2) * Tensor(
+        check(lambda: (maxpool2d(y, 2) * Tensor(
             np.arange(27.0).reshape(1, 3, 3, 3))).sum(), {"y": y})
         a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         c = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
@@ -141,7 +141,7 @@ def test_4_kernel_oracles():
             h = int(rng.integers(3, 8))
             win = int(rng.integers(1, h + 1))
             x = rng.standard_normal((1, 2, h, h))
-            ours = maxpool2d(Tensor(x), win, win).data
+            ours = maxpool2d(Tensor(x), win).data
             assert np.abs(ours - maxpool_loops(x, win, win)).max() <= 1e-12
         for _ in range(100):
             m, kk, n = rng.integers(1, 6, 3)
@@ -306,3 +306,27 @@ def test_9_checkpoint_roundtrip(tmp_path):
         a = forward(x, params, MICRO).data
         b = forward(x, back, cfg2).data
         assert (a == b).all()
+
+
+def test_10_eit_keeps_more_high_frequency_than_its_vit_twin():
+    # The paper's headline: EIT layers carry a larger share of high-frequency
+    # data than ViT's. At init, seeds 0-9 fixed in advance, the smallest
+    # top-bin gap over layers 1-3 measured 0.107 (seed 8); 0.05 is the margin.
+    # At init the gap comes from the channel split: the conv slice skips the
+    # low-pass attention (it holds with the branch replaced by the identity).
+    with criterion(10, "EIT keeps more high frequency than its ViT twin"):
+        tiny = dataclasses.replace(TINY, layers=4)
+        for seed in range(10):
+            images = generate_synthetic(16, 16, seed).images
+            top = {}
+            for policy in ("decreasing", "none"):
+                cfg = dataclasses.replace(tiny, split_policy=policy)
+                _, layers = forward(images, init_params(cfg, seed), cfg,
+                                    collect_probes=True)
+                top[policy] = np.array([probes.frequency_share(
+                    probes.ProbeRecord(p["attention"], p["input"],
+                                       cfg.token_grid(), cfg.pixel_spacing()),
+                    bins=4)[:, -1].mean() for p in layers])
+            gap = top["decreasing"] - top["none"]
+            assert gap[0] == 0.0, (seed, gap)  # the same patch-stage output
+            assert (gap[1:] >= 0.05).all(), (seed, gap)

@@ -170,6 +170,16 @@ class TestRawFormat:
         with pytest.raises(LoadError, match="not positive"):
             load_dataset(d)
 
+    def test_impossible_sidecar_size_is_checked_before_allocating(self, tmp_path):
+        # 3 x 200000 x 200000 float64 would be 894 GiB: the 12-byte file
+        # must refute the sidecar before any buffer of that size is asked for
+        d = tmp_path / "d"
+        save_dataset(generate_synthetic(1, 2, seed=0), d)
+        (d / "dataset.json").write_text(json.dumps({"height": 200000,
+                                                    "width": 200000}))
+        with pytest.raises(LoadError, match="got 12 bytes"):
+            load_dataset(d)
+
     def test_corrupt_sidecar(self, tmp_path):
         d = tmp_path / "d"
         save_dataset(generate_synthetic(1, 8, seed=0), d)

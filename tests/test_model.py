@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestPatchEmbed:
         tokens = eitp_embed(Tensor(x), params, MICRO)
         assert tokens.shape == (2, MICRO.token_count(), 8)
         np.testing.assert_array_equal(tokens.data[0, 0], params["cls_token"].data[0, 0])
+
+    @pytest.mark.parametrize("pos_embed", ["none", "trainable"])
+    def test_a_slice_of_the_tokens_keeps_no_token_array(self, pos_embed):
+        # under "none" the tokens are a channel-major (not C-contiguous)
+        # array; a slice's backward needs only its shape either way
+        cfg = micro(pos_embed=pos_embed)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(0).random((2, 3, 8, 8))
+        tokens = eitp_embed(Tensor(x), params, cfg)
+        array = weakref.ref(tokens.data)
+        y = tokens[:, 1:, :4] + 0.0
+        del tokens
+        assert array() is None
+        (y * y).sum().backward()
+        assert params["eitp.weight"].grad.any()
 
     def test_zero_pos_embed_changes_nothing(self):
         cfg = micro(pos_embed="trainable")

@@ -178,15 +178,15 @@ class TestConv2d:
 class TestMaxpool:
     def test_identity_window(self):
         x = np.random.default_rng(0).random((1, 2, 3, 3))
-        np.testing.assert_array_equal(maxpool2d(Tensor(x), 1, 1).data, x)
+        np.testing.assert_array_equal(maxpool2d(Tensor(x), 1).data, x)
 
     def test_pool_size_formula(self):
         x = Tensor(np.zeros((1, 1, 53, 53)))
-        assert maxpool2d(x, 3, 3).shape == (1, 1, 17, 17)
+        assert maxpool2d(x, 3).shape == (1, 1, 17, 17)
 
     def test_block_maxima(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = maxpool2d(Tensor(x), 2, 2)
+        out = maxpool2d(Tensor(x), 2)
         np.testing.assert_array_equal(out.data.ravel(), [5, 7, 13, 15])
 
     @pytest.mark.parametrize("trial", range(25))
@@ -194,57 +194,36 @@ class TestMaxpool:
         rng = np.random.default_rng(trial)
         h = int(rng.integers(2, 8))
         win = int(rng.integers(1, h + 1))
-        s = int(rng.integers(1, 4))
         x = rng.standard_normal((2, 3, h, h))
-        out = maxpool2d(Tensor(x), win, s)
-        np.testing.assert_allclose(out.data, maxpool_loops(x, win, s), atol=1e-12)
+        out = maxpool2d(Tensor(x), win)
+        np.testing.assert_allclose(out.data, maxpool_loops(x, win, win), atol=1e-12)
 
-    @pytest.mark.parametrize("win, s", [(2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("win, s", [(2, 2)])
     def test_transposed_input_vs_bruteforce(self, win, s):
         x = np.random.default_rng(win + s).standard_normal((2, 7, 6, 3))
         x = x.transpose(0, 3, 1, 2)
-        out = maxpool2d(Tensor(x), win, s)
+        out = maxpool2d(Tensor(x), win)
         np.testing.assert_array_equal(out.data, maxpool_loops(x, win, s))
 
-    @pytest.mark.parametrize("win, s, error", [
-        (3, 1, GeometryError), (2, 0, ContractError), (0, 1, ContractError),
-        (-1, 1, ContractError), (2, -2, ContractError)],
-        ids=["window-3", "stride-0", "window-0", "window-neg", "stride-neg"])
-    def test_oversized_window(self, win, s, error):
+    @pytest.mark.parametrize("win, error", [
+        (3, GeometryError), (0, ContractError), (-1, ContractError)],
+        ids=["window-3", "window-0", "window-neg"])
+    def test_oversized_window(self, win, error):
         with pytest.raises(error):
-            maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), win, s)
+            maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), win)
 
     def test_backward_first_argmax_on_ties(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        maxpool2d(x, 2, 2).sum().backward()
+        maxpool2d(x, 2).sum().backward()
         np.testing.assert_array_equal(x.grad.ravel(), [1, 0, 0, 0])
 
     def test_nan_wins_its_window_like_argmax(self):
         # a NaN is the maximum of its window; the first NaN takes the gradient
         x = Tensor(np.array([[[[1.0, np.nan], [np.nan, 5.0]]]]), requires_grad=True)
-        out = maxpool2d(x, 2, 2)
+        out = maxpool2d(x, 2)
         assert np.isnan(out.data).all()
         out.sum().backward()
         np.testing.assert_array_equal(x.grad.ravel(), [0, 1, 0, 0])
-
-    @pytest.mark.parametrize("trial", range(10))
-    def test_backward_matches_argmax_on_overlapping_ties(self, trial):
-        rng = np.random.default_rng(trial)
-        x = rng.integers(-2, 2, (2, 3, 7, 7)).astype(float)
-        win, s = int(rng.integers(2, 4)), int(rng.integers(1, 3))
-        t = Tensor(x, requires_grad=True)
-        maxpool2d(t, win, s).sum().backward()
-        oh = (7 - win) // s + 1
-        want = np.zeros_like(x)
-        for p in range(oh):
-            for q in range(oh):
-                block = x[:, :, p * s:p * s + win, q * s:q * s + win]
-                k = block.reshape(2, 3, -1).argmax(axis=-1)
-                for ni in range(2):
-                    for ci in range(3):
-                        dy, dx = divmod(int(k[ni, ci]), win)
-                        want[ni, ci, p * s + dy, q * s + dx] += 1
-        np.testing.assert_array_equal(t.grad, want)
 
 
 class TestMatmul:
@@ -505,7 +484,7 @@ class TestGradientScatter:
         x[np.array([0, 0, 1]), np.array([2, 2, 0])].sum().backward()
         np.testing.assert_array_equal(x.grad, [[0, 0, 2], [1, 0, 0]])
 
-    @pytest.mark.parametrize("window, stride", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3)])
     def test_disjoint_pool_windows_match_add_at_bitwise(self, window, stride):
         rng = np.random.default_rng(window * 10 + stride)
         x = rng.integers(-2, 2, (2, 3, 7, 7)).astype(float)  # many ties
@@ -513,7 +492,7 @@ class TestGradientScatter:
         x[0, 1, :3, :3] = -np.inf
         x[1, 2, 0, 0] = np.nan
         t = Tensor(x, requires_grad=True)
-        out = maxpool2d(t, window, stride)
+        out = maxpool2d(t, window)
         g = rng.standard_normal(out.shape)
         g[0, 0, 0, 0] = -0.0
         (gx,) = out._node.backward(g)
@@ -669,7 +648,10 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         ("sum", (2, 3), lambda x: x.sum()),
         ("relu", (2, 3), lambda x: x.relu()),
         ("gelu", (2, 3), lambda x: x.gelu()),
-        ("maxpool2d", (1, 2, 4, 4), lambda x: maxpool2d(x, 2, 2)),
+        ("maxpool2d", (1, 2, 4, 4), lambda x: maxpool2d(x, 2)),
+        ("maxpool2d-transposed", (1, 2, 4, 4),
+         lambda x: maxpool2d(x.transpose(0, 1, 3, 2), 2)),
+        ("basic-slice-transposed", (2, 3), lambda x: x.transpose(1, 0)[1:] + 0.0),
         ("concat", (2, 3), lambda x: concat([x, x], axis=1)),
         ("advanced-index", (2, 3),
          lambda x: x[np.array([0, 1, 1]), np.array([2, 0, 2])]),
@@ -829,14 +811,14 @@ class TestPerNodeOverhead:
         (ref * g).sum().backward()
         assert xt.grad.tobytes() == xc.grad.tobytes()
 
-    @pytest.mark.parametrize("win, s", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("win, s", [(2, 2)])
     def test_maxpool2d_on_transposed_input(self, win, s):
         x = np.random.default_rng(win).standard_normal((2, 6, 7, 3))
         x = x.transpose(0, 3, 1, 2)
         xt = Tensor(x, requires_grad=True)
-        out = maxpool2d(xt, win, s)
+        out = maxpool2d(xt, win)
         np.testing.assert_array_equal(out.data, maxpool_loops(x, win, s))
         out.sum().backward()
         xc = Tensor(np.ascontiguousarray(x), requires_grad=True)
-        maxpool2d(xc, win, s).sum().backward()
+        maxpool2d(xc, win).sum().backward()
         assert xt.grad.tobytes() == xc.grad.tobytes()
