@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable
 
 import numpy as np
@@ -129,7 +130,9 @@ def gradcheck(f: Callable[[], Tensor], params: dict[str, Tensor],
     not depend on the number of workers. Under more than one worker, the
     parameters are perturbed in the workers' copies and the caller's
     tensors are never touched; in-process, each element is restored after
-    its evaluations, also when one raises.
+    its evaluations, also when one raises. A worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool`` instead of leaving
+    the call waiting for its tensor.
 
     Returns the max relative error per parameter name. ``f`` must be
     deterministic; a re-evaluation mismatch raises DiagnosticError.
@@ -173,11 +176,16 @@ def gradcheck(f: Callable[[], Tensor], params: dict[str, Tensor],
             # a child flushes the stdio buffers it inherits when it exits
             sys.stdout.flush()
             sys.stderr.flush()
-            with multiprocessing.get_context("fork").Pool(n) as pool:
-                results = list(pool.imap_unordered(_differences, order,
-                                                   chunksize=1))
-                pool.close()
-                pool.join()
+            pool = ProcessPoolExecutor(
+                n, mp_context=multiprocessing.get_context("fork"))
+            try:
+                pending = [pool.submit(_differences, name) for name in order]
+                results = [done.result() for done in as_completed(pending)]
+            finally:
+                # on an error no queued tensor starts and the running ones
+                # finish: no worker is killed while it may hold a queue's
+                # lock, which would leave the pool waiting on it for ever
+                pool.shutdown(cancel_futures=True)
     finally:
         _job = None
 

@@ -1,8 +1,11 @@
 import dataclasses
+import importlib
 import json
 import multiprocessing
 import os
+import signal
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -292,6 +295,43 @@ class TestPool:
         with pytest.raises(DiagnosticError, match="cls_token too late"):
             gradcheck(f, params, stages=cls_token_named_last(stages))
         assert params["cls_token"].data.tobytes() == before.tobytes()
+        assert multiprocessing.active_children() == []
+
+
+def _killed_at_head_bias(name):
+    """``_differences`` for a worker killed (e.g. by the OOM killer) as it
+    starts on head.bias."""
+    if name == "head.bias":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _DIFFERENCES(name)
+
+
+# the module: the package's attribute ``gradcheck`` is the function
+GRADCHECK = importlib.import_module("eit.gradcheck")
+_DIFFERENCES = GRADCHECK._differences
+
+
+class TestWorkersEnd:
+    """No exit path of the pool can leave gradcheck waiting for ever."""
+
+    def test_an_error_ends_no_worker_by_signal(self, two_cpus, monkeypatch):
+        # a worker signalled while it holds a queue's lock takes the lock
+        # with it, and the pool then waits on that lock for ever
+        signalled = []
+        terminate = multiprocessing.process.BaseProcess.terminate
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
+                            lambda p: signalled.append(p.pid) or terminate(p))
+        params, f, stages = setup_micro(MICRO)
+        with pytest.raises(DiagnosticError, match="cls_token too late"):
+            gradcheck(f, params, stages=cls_token_named_last(stages))
+        assert signalled == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_raises(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(GRADCHECK, "_differences", _killed_at_head_bias)
+        params, f, stages = setup_micro(MICRO)
+        with pytest.raises(BrokenProcessPool):
+            gradcheck(f, params, stages=stages)
         assert multiprocessing.active_children() == []
 
 

@@ -225,6 +225,30 @@ class TestMaxpool:
         out.sum().backward()
         np.testing.assert_array_equal(x.grad.ravel(), [0, 1, 0, 0])
 
+    @pytest.mark.parametrize("trial", range(10))
+    def test_backward_matches_argmax_on_overlapping_ties(self, trial):
+        # the win * win disjoint pools of the shifted views x[oy:, ox:] hold
+        # every stride-1 window once, so the windows overlap and their
+        # gradients add up in x
+        rng = np.random.default_rng(trial)
+        x = rng.integers(-2, 2, (2, 3, 7, 7)).astype(float)  # many ties
+        win = int(rng.integers(2, 4))
+        t = Tensor(x, requires_grad=True)
+        total = None
+        for oy, ox in itertools.product(range(win), repeat=2):
+            part = maxpool2d(t[:, :, oy:, ox:], win).sum()
+            total = part if total is None else total + part
+        total.backward()
+        want = np.zeros_like(x)
+        for p in range(7 - win + 1):
+            for q in range(7 - win + 1):
+                block = x[:, :, p:p + win, q:q + win]
+                k = block.reshape(2, 3, -1).argmax(axis=-1)
+                for ni in range(2):
+                    for ci in range(3):
+                        dy, dx = divmod(int(k[ni, ci]), win)
+                        want[ni, ci, p + dy, q + dx] += 1
+        np.testing.assert_array_equal(t.grad, want)
 
 class TestMatmul:
     def test_identity(self):
