@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import (Tensor, concat, conv2d, dropout, layernorm, linear,
-                     matmul, maxpool2d, normalize, out_size, softmax_rows)
+                     matmul, maxpool2d, normalize, out_size, recompute,
+                     softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
@@ -394,17 +395,25 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
         heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over (N, T, C_M) with per-head scaling
     1/sqrt(C_M / heads). Returns the output and the attention weights
-    (N, heads, T, T) for the probes."""
+    (N, heads, T, T) for the probes.
+
+    The attention core, from the qkv projection to the merged heads, is
+    one ``recompute`` node: the graph keeps the projection, and backward
+    rebuilds the (N, heads, T, T) scores and weights one layer at a time."""
     n, t, cm = x.shape
     if cm == 0 or cm % heads:
         raise ConfigError(f"attention width {cm} not divisible by {heads} heads")
     d = cm // heads
-    qkv = linear(x, qkv_w, qkv_b).reshape(n, t, 3, heads, d)
-    qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, N, heads, T, d)
-    q, k, v = qkv[0], qkv[1], qkv[2]
-    a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d)))
-    o = matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm)
-    return linear(o, out_w, out_b), a.data
+
+    def heads_mix(qkv: Tensor) -> tuple[Tensor, np.ndarray]:
+        # (N, T, 3 C_M) -> (3, N, heads, T, d)
+        qkv = qkv.reshape(n, t, 3, heads, d).transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d)))
+        return matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm), a.data
+
+    o, attn = recompute(heads_mix, linear(x, qkv_w, qkv_b))
+    return linear(o, out_w, out_b), attn
 
 
 def _grid_conv(tokens: Tensor, grid: tuple[int, int], weight: Tensor,

@@ -6,20 +6,24 @@ flows through it. An op's node holds only what its backward needs: the
 backward closure, the parents' nodes (None for a parent that needs no
 gradient) and the output shape. A leaf's node holds a weak reference to
 its Tensor, which receives the gradient, so a parameter and its node form
-no reference cycle. ``backward()`` replays the nodes in reverse
-topological order, sums each gradient over broadcast axes, accumulates it
-and releases the graph, so a graph is replayed once.
+no reference cycle. ``backward()`` of a scalar loss replays the nodes in
+reverse topological order (``_replay``), sums each gradient over
+broadcast axes, accumulates it and releases the graph, so a graph is
+replayed once.
 
 No node refers to a Tensor, so an interior Tensor dies with its last
 Python reference, and its array dies with it unless some closure saved
-it. A closure saves exactly what its backward reads: ``*`` and matmul
-both operands, linear its input and weight, softmax and log-softmax
-their output, normalization the standardized input, conv2d the window
-view of its padded input (of the input itself at padding 0), ReLU and
-dropout their masks; sum saves a shape, and indexing and max-pooling
-their input's shape and the indices. GELU saves its derivative
+it. A closure saves exactly what its backward reads: matmul both
+operands, ``*`` the other operand of each factor that needs a gradient,
+linear its input and weight, softmax and log-softmax their output,
+normalization the standardized input, conv2d the window view of its
+padded input (of the input itself at padding 0), ReLU and dropout their
+masks; sum saves a shape, indexing its input's shape and the indices,
+and max-pooling one flat index into its input. GELU saves its derivative
 Phi(x) + x * density(x), computed in the forward only when x needs a
-gradient, in place of x and Phi(x).
+gradient, in place of x and Phi(x). ``recompute(fn, x)`` trades time
+for memory: it keeps only x's array, and its backward runs ``fn`` again
+and replays the graph that builds.
 
 Only the kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
@@ -99,6 +103,42 @@ class _Node:
         self.leaf = leaf
 
 
+def _replay(root: _Node, seed: np.ndarray) -> None:
+    """Replay the graph under ``root`` from ``seed``, the gradient of root's
+    output: run the nodes in reverse topological order, sum each gradient
+    over broadcast axes, accumulate it into the leaves' ``grad`` and
+    release each node once run."""
+    topo: list[_Node] = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for p in node.parents:
+            if p is not None:
+                stack.append((p, False))
+    grads = {root: seed}
+    while topo:
+        node = topo.pop()
+        g = grads.pop(node, None)
+        if node.backward is None:  # a leaf, or a node replayed before
+            leaf = node.leaf() if node.leaf is not None else None
+            if leaf is not None and g is not None:
+                leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
+            continue
+        for p, gp in zip(node.parents, node.backward(g), strict=True):
+            if p is not None:
+                gp = _unbroadcast(gp, p.shape)
+                grads[p] = grads[p] + gp if p in grads else gp
+        node.parents, node.backward = (), None
+
+
 class Tensor:
     """An array, its gradient and its node in the autograd graph."""
 
@@ -156,37 +196,8 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
-        if self._node is None:
-            return
-        topo: list[_Node] = []
-        seen = set()
-        stack = [(self._node, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            for p in node.parents:
-                if p is not None:
-                    stack.append((p, False))
-        grads = {self._node: np.ones(self.data.shape)}
-        while topo:
-            node = topo.pop()
-            g = grads.pop(node, None)
-            if node.backward is None:  # a leaf, or a node replayed before
-                leaf = node.leaf() if node.leaf is not None else None
-                if leaf is not None and g is not None:
-                    leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
-                continue
-            for p, gp in zip(node.parents, node.backward(g), strict=True):
-                if p is not None:
-                    gp = _unbroadcast(gp, p.shape)
-                    grads[p] = grads[p] + gp if p in grads else gp
-            node.parents, node.backward = (), None
+        if self._node is not None:
+            _replay(self._node, np.ones(self.data.shape))
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -202,7 +213,15 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor._wrap(other)
         a, b = self.data, other.data
-        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a))
+        out = a * b
+        # Each operand's gradient reads the other operand: keep that only
+        # when the gradient is needed.
+        if self._node is None:
+            b = None
+        if other._node is None:
+            a = None
+        return Tensor._from_op(out, (self, other), lambda g: (
+            None if b is None else g * b, None if a is None else g * a))
 
     # ---- shape ops -------------------------------------------------------
 
@@ -263,6 +282,22 @@ class Tensor:
             d *= x
             d += phi
         return Tensor._from_op(x * phi, (self,), lambda g: (d * g,))
+
+
+def recompute(fn, x: Tensor) -> tuple[Tensor, np.ndarray]:
+    """``fn(x)``, which returns a Tensor and an array, as one node that
+    keeps only ``x.data``: the graph ``fn`` builds dies with its output,
+    and the backward runs ``fn`` again on a leaf over that array and
+    replays the new graph (activation recomputation, Chen et al. 2016).
+    ``fn`` must be pure and must not capture ``x``."""
+    out, extra = fn(x)
+    data = x.data
+
+    def back(g):
+        leaf = Tensor(data, requires_grad=True)
+        _replay(fn(leaf)[0]._node, g)
+        return (leaf.grad,)
+    return Tensor._from_op(out.data, (x,), back), extra
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -474,11 +509,13 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     for i in range(n):
         win = _windows(xc[i:i + 1], window, window, window)[0, 0]
         idx[i] = win.transpose(0, 3, 4, 1, 2).reshape(c, oh, ow, -1).argmax(axis=-1)
-    dy, dx = np.divmod(idx, window)  # argmax's place in its window
+    dy, at = np.divmod(idx, window)  # argmax's place in its window
     dy += np.arange(0, window * oh, window)[:, None]
-    dx += np.arange(0, window * ow, window)
-    at = (np.arange(n)[:, None, None, None], np.arange(c)[:, None, None], dy, dx)
-    shape = x.shape
+    dy += np.arange(0, n * c * h, h).reshape(n, c, 1, 1)  # row of (N*C*H, W)
+    dy *= w
+    at += np.arange(0, window * ow, window)
+    at += dy  # one flat index into xc
+    shape, size = x.shape, xc.size
     return Tensor._from_op(
-        x.data[at], (x,),
-        lambda g: (_scatter_into_zeros(shape, at, g, True),))
+        xc.reshape(-1)[at], (x,),
+        lambda g: (_scatter_into_zeros(size, at, g, True).reshape(shape),))

@@ -437,11 +437,11 @@ class TestForward:
 
     def test_micro_training_forward_and_loss_node_count(self, monkeypatch):
         # splitting each layer into two residual blocks adds no node
-        assert self._training_node_count(monkeypatch, MICRO) == 66
+        assert self._training_node_count(monkeypatch, MICRO) == 68
 
     def test_micro_parallel_training_forward_and_loss_node_count(self, monkeypatch):
         assert self._training_node_count(
-            monkeypatch, micro(split_policy="parallel")) == 73
+            monkeypatch, micro(split_policy="parallel")) == 75
 
     @pytest.mark.parametrize("pos_embed", POS_EMBED_MODES)
     @pytest.mark.parametrize("style", BRANCH_STYLES)

@@ -1,4 +1,5 @@
 import itertools
+import types
 import weakref
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from eit import model
 from eit.errors import ContractError, GeometryError
 from eit.gradcheck import gradcheck
 from eit.model import config_from_dict, forward, init_params
-from eit.tensor import (Tensor, _windows, concat, conv2d, dropout, layernorm,
-                        linear, log_softmax, matmul, maxpool2d, normalize,
-                        out_size, softmax_rows)
+from eit.tensor import (Tensor, _Node, _windows, concat, conv2d, dropout,
+                        layernorm, linear, log_softmax, matmul, maxpool2d,
+                        normalize, out_size, recompute, softmax_rows)
 from eit.train import cross_entropy
 
 from oracles import conv2d_loops, matmul_loops, maxpool_loops
@@ -479,13 +481,13 @@ class TestLinear:
         def step(images, labels, params, cfg):
             rng = np.random.default_rng(0)
             cross_entropy(forward(images, params, cfg, train=True, rng=rng), labels)
-        assert self._small_batch_node_count(monkeypatch, step) == 162
+        assert self._small_batch_node_count(monkeypatch, step) == 167
 
     def test_small_probe_forward_graph_size(self, monkeypatch):
         # the training count less the loss's log_softmax, pick, sum and scale
         def probe(images, labels, params, cfg):
             forward(images, params, cfg, collect_probes=True)
-        assert self._small_batch_node_count(monkeypatch, probe) == 158
+        assert self._small_batch_node_count(monkeypatch, probe) == 163
 
 
 class TestGradientScatter:
@@ -656,6 +658,79 @@ class TestEngineContract:
         np.testing.assert_array_equal(x.grad, 3.0 + 2.0 * x.data)
 
 
+class TestRecompute:
+    """recompute(fn, x) is fn(x) as one node that keeps only x.data; the
+    model's attention core is one."""
+
+    @staticmethod
+    def _micro_training_loss(policy="decreasing"):
+        cfg = config_from_dict({
+            "channels": 8, "layers": 2, "heads": 2, "classes": 2,
+            "image": [8, 8, 3], "split_policy": policy, "dropout": 0.1,
+            "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 2}})
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        logits = forward(rng.random((2, 3, 8, 8)), params, cfg, train=True, rng=rng)
+        return cross_entropy(logits, np.array([0, 1])), params, cfg
+
+    @pytest.mark.parametrize("policy", ["decreasing", "parallel"])
+    def test_matches_the_attention_core_backpropagated_directly(self, policy,
+                                                                 monkeypatch):
+        cores = []
+
+        def spy(fn, x):
+            cores.append((fn, x.data))
+            return recompute(fn, x)
+        monkeypatch.setattr(model, "recompute", spy)
+        self._micro_training_loss(policy)
+        assert len(cores) == 2  # one per layer
+        for fn, data in cores:
+            proj = Tensor(np.random.default_rng(1).standard_normal(
+                fn(Tensor(data))[0].shape))
+            got = []
+            for run in (fn, lambda x: recompute(fn, x)):
+                x = Tensor(data, requires_grad=True)
+                out, attn = run(x)
+                (out * proj).sum().backward()
+                got.append([a.tobytes() for a in (out.data, attn, x.grad)])
+            assert got[0] == got[1]
+
+    def test_training_graph_keeps_no_attention_sized_array(self):
+        loss, _, cfg = self._micro_training_loss()
+        h0, w0 = cfg.token_grid()
+        n, t = 2, 1 + h0 * w0
+        shapes, seen, todo = set(), set(), [loss._node]
+        while todo:  # every array the graph's closures reach
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                shapes.add(obj.shape)
+                todo.append(obj.base)
+            elif isinstance(obj, _Node):
+                todo += [*obj.parents, obj.backward]
+            elif isinstance(obj, types.FunctionType):
+                todo += [c.cell_contents for c in obj.__closure__ or ()]
+            elif isinstance(obj, (tuple, list)):
+                todo += obj
+        assert (n, t, 3 * cfg.channels) in shapes  # the kept qkv projection
+        assert (n, cfg.heads, t, t) not in shapes
+
+    def test_backward_is_entered_once_per_training_loss(self, monkeypatch):
+        entered = []
+        backward = Tensor.backward
+
+        def counted(self):
+            entered.append(self)
+            backward(self)
+        monkeypatch.setattr(Tensor, "backward", counted)
+        loss, params, _ = self._micro_training_loss()
+        loss.backward()
+        assert entered == [loss]
+        assert params["layers.0.attn.qkv.weight"].grad is not None
+
+
 def _interior(shape, seed=0):
     """An op's output that needs a gradient, so no one else holds its array."""
     leaf = Tensor(np.random.default_rng(seed).standard_normal(shape),
@@ -669,6 +744,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
 
     FREED = [
         ("add", (2, 3), lambda x: x + x),
+        ("mul-by-constant", (2, 3), lambda x: x * Tensor(np.ones(3))),
         ("sum", (2, 3), lambda x: x.sum()),
         ("relu", (2, 3), lambda x: x.relu()),
         ("gelu", (2, 3), lambda x: x.gelu()),
@@ -690,7 +766,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
          lambda x: dropout(x, 0.5, np.random.default_rng(0)))]
     KEPT = [
         ("matmul", (2, 3), lambda x: matmul(x, Tensor(np.ones((3, 2))))),
-        ("mul", (2, 3), lambda x: x * Tensor(np.ones(3))),
+        ("mul", (2, 3), lambda x: x * Tensor(np.ones(3), requires_grad=True)),
         ("linear", (2, 3), lambda x: linear(
             x, Tensor(np.ones((3, 2)), requires_grad=True),
             Tensor(np.zeros(2), requires_grad=True)))]
