@@ -6,12 +6,17 @@ then every tensor of ``param_shapes(config)``, in that order, as raw
 little-endian float64, back to back, ending the file. The model is
 pyramid-free, so each tensor's name, shape and offset follow from the config
 and the header holds no table of them.
+
+``load`` checks the payload's length against the file's size before it
+reads any tensor, then reads each tensor straight into its own array: it
+holds no copy of the file, so its memory peak is the parameters alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -45,20 +50,24 @@ def save(path, params: dict[str, Tensor], config: ModelConfig):
 def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            return _read(f, path)
     except OSError as e:
         raise LoadError(f"cannot read checkpoint {path}: {e}") from e
-    if blob[:8] != MAGIC:
+
+
+def _read(f, path) -> tuple[dict[str, Tensor], ModelConfig]:
+    size = os.fstat(f.fileno()).st_size
+    if f.read(8) != MAGIC:
         raise LoadError(f"{path}: bad magic, not a checkpoint")
     try:
-        (hlen,) = struct.unpack("<Q", blob[8:16])
-        config = config_from_dict(json.loads(blob[16:16 + hlen]))
+        (hlen,) = struct.unpack("<Q", f.read(8))
+        # a length past the end reads the rest of the file, no more
+        config = config_from_dict(json.loads(f.read(min(hlen, size - 16))))
     except Exception as e:
         raise LoadError(f"{path}: malformed header: {e}") from e
     layout = {name: shape for name, shape, _, _ in param_shapes(config)}
-    offset = 16 + hlen
     need = sum(map(math.prod, layout.values())) * _F64.itemsize
-    have = len(blob) - offset
+    have = size - 16 - hlen
     if have < need:
         raise LoadError(f"{path}: tensor payload out of range: the config "
                         f"needs {need} bytes, the file holds {max(have, 0)}")
@@ -67,8 +76,8 @@ def load(path) -> tuple[dict[str, Tensor], ModelConfig]:
                         "the config names")
     params = {}
     for name, shape in layout.items():
-        count = math.prod(shape)
-        data = np.frombuffer(blob, _F64, count, offset).reshape(shape)
-        params[name] = Tensor(data.copy(), requires_grad=True)
-        offset += count * _F64.itemsize
+        data = np.empty(shape, _F64)
+        if f.readinto(memoryview(data).cast("B")) != data.nbytes:
+            raise LoadError(f"{path}: the file ends inside tensor {name}")
+        params[name] = Tensor(data, requires_grad=True)
     return params, config

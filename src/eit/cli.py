@@ -216,14 +216,20 @@ def cmd_train(args) -> int:
 
 def _probe_batch(images, params, config, bins: int, query: int):
     """Per layer: one batch's summed head distances and spectrum shares, and
-    its first image's attention map. Frees the batch's activations."""
-    _, layer_probes = forward(images, params, config, collect_probes=True)
-    recs = [probes.ProbeRecord(p["attention"], p["input"], config.token_grid(),
-                               config.pixel_spacing())
-            for p in layer_probes]
-    return (np.stack([probes.attention_distance(r).sum(axis=0) for r in recs]),
-            np.stack([probes.frequency_share(r, bins).sum(axis=0) for r in recs]),
-            np.stack([probes.attention_map(r, query)[0][0] for r in recs]))
+    its first image's attention map. Each layer is reduced as it finishes
+    and its record dropped, so no earlier layer's probes are alive."""
+    grid, spacing = config.token_grid(), config.pixel_spacing()
+    dist, spec, maps = [], [], []
+
+    def reduce_layer(i, layer_input, attention):
+        # a copy, as collect_probes keeps: the FFT of forward's own array
+        # can differ in the last bits
+        rec = probes.ProbeRecord(attention, layer_input.copy(), grid, spacing)
+        dist.append(probes.attention_distance(rec).sum(axis=0))
+        spec.append(probes.frequency_share(rec, bins).sum(axis=0))
+        maps.append(probes.attention_map(rec, query)[0][0])
+    forward(images, params, config, on_layer=reduce_layer)
+    return np.stack(dist), np.stack(spec), np.stack(maps)
 
 
 def cmd_probe(args) -> int:

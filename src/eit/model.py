@@ -514,25 +514,32 @@ def classify(x: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def forward(images, params: dict[str, Tensor], config: ModelConfig,
             train: bool = False, rng: np.random.Generator | None = None,
-            collect_probes: bool = False):
+            collect_probes: bool = False, on_layer: Callable | None = None):
     """Full model: tokenize, L encoder layers, final norm, classify the
-    class token. With collect_probes=True also returns a list, indexed by
-    layer, of each layer's input and attention weights (plain arrays,
-    batch-first)."""
+    class token. ``on_layer(i, layer_input, attention)``, if given, is
+    called after encoder layer i with that layer's input array (N, T, C)
+    and its attention weights (N, heads, T, T). The arrays are forward's
+    own, so a hook that keeps the input must copy it. collect_probes=True
+    is the hook that keeps them all: forward then also returns a list,
+    indexed by layer, of each layer's input (a copy) and attention weights
+    (plain arrays, batch-first)."""
+    if collect_probes:
+        if on_layer is not None:
+            raise ContractError("pass collect_probes or on_layer, not both")
+        probes = []
+
+        def on_layer(i, layer_input, attention):
+            probes.append({"input": layer_input.copy(), "attention": attention})
     if not isinstance(images, Tensor):
         images = Tensor(images)
     schedule = schedule_for(config)
     grid = config.token_grid()
     x = eitp_embed(images, params, config)
-    probes = []
     for i in range(config.layers):
-        if collect_probes:
-            # No op writes x.data, but without this copy a SMALL probe run
-            # peaked ~9 MiB higher: where the allocator puts blocks, not live data.
-            layer_input = x.data.copy()
-        x, attn = encoder_layer(x, params, i, config, schedule, grid, train, rng)
-        if collect_probes:
-            probes.append({"input": layer_input, "attention": attn})
+        y, attn = encoder_layer(x, params, i, config, schedule, grid, train, rng)
+        if on_layer is not None:
+            on_layer(i, x.data, attn)
+        x = y
     logits = classify(x, params)
     if collect_probes:
         return logits, probes

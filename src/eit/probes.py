@@ -54,8 +54,9 @@ def attention_distance(rec: ProbeRecord) -> np.ndarray:
     mass = a.sum(axis=-1, keepdims=True)
     if np.any(mass <= 0):
         raise DiagnosticError("a query puts no attention mass on patch tokens")
-    d = grid_distances(rec.grid, rec.pixel_spacing)
-    return ((a / mass) * d).sum(axis=-1).mean(axis=-1)
+    w = a / mass  # one full-size temporary, weighted in place
+    w *= grid_distances(rec.grid, rec.pixel_spacing)
+    return w.sum(axis=-1).mean(axis=-1)
 
 
 def head_diversity(distances: np.ndarray) -> float:

@@ -21,9 +21,10 @@ padded input (of the input itself at padding 0), ReLU and dropout their
 masks; sum saves a shape, indexing its input's shape and the indices,
 and max-pooling one flat index into its input. GELU saves its derivative
 Phi(x) + x * density(x), computed in the forward only when x needs a
-gradient, in place of x and Phi(x). ``recompute(fn, x)`` trades time
-for memory: it keeps only x's array, and its backward runs ``fn`` again
-and replays the graph that builds.
+gradient, in place of x and Phi(x); its output x * Phi(x) is written
+into Phi's buffer, so it allocates no full-size array beyond the two.
+``recompute(fn, x)`` trades time for memory: it keeps only x's array,
+and its backward runs ``fn`` again and replays the graph that builds.
 
 Only the kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
@@ -265,9 +266,10 @@ class Tensor:
                                lambda g: (g * mask,))
 
     def gelu(self):
-        """Exact Gaussian-CDF GELU: x * Phi(x). Its backward reads only the
-        derivative Phi(x) + x * density(x), computed here when x needs a
-        gradient."""
+        """Exact Gaussian-CDF GELU: x * Phi(x), written into Phi's buffer
+        (bitwise equal, as IEEE multiplication commutes). Its backward reads
+        only the derivative Phi(x) + x * density(x), computed here when x
+        needs a gradient."""
         x = self.data
         phi = x * _INV_SQRT2  # 0.5 * (1 + erf(x / sqrt 2)), in place
         erf(phi, out=phi)
@@ -281,7 +283,8 @@ class Tensor:
             d *= _INV_SQRT_2PI
             d *= x
             d += phi
-        return Tensor._from_op(x * phi, (self,), lambda g: (d * g,))
+        phi *= x  # x * Phi(x), in Phi's buffer
+        return Tensor._from_op(phi, (self,), lambda g: (d * g,))
 
 
 def recompute(fn, x: Tensor) -> tuple[Tensor, np.ndarray]:

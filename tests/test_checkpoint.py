@@ -1,7 +1,9 @@
 import dataclasses
 import errno
 import json
+import math
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +75,25 @@ class TestRoundtrip:
             assert t.data.flags.writeable and t.data.flags.owndata, name
 
 
+class TestLoadMemory:
+    def test_small_load_peak_is_the_payload(self, tmp_path):
+        # each tensor is read straight into its own array: no copy of the
+        # file and no second copy of a tensor
+        cfg = ModelConfig(channels=250, layers=5, heads=10, classes=10,
+                          image=(32, 32, 3), eitp=PatchStage(3, 1, 1, 4))
+        path = tmp_path / "small.ckpt"
+        checkpoint.save(path, init_params(cfg, 0), cfg)
+        payload = sum(math.prod(shape) for _, shape, *_ in param_shapes(cfg)) * 8
+        tracemalloc.start()
+        try:
+            checkpoint.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert payload > 2 ** 24
+        assert peak <= payload + 2 ** 20
+
+
 class TestAtomicSave:
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path,
                                                        monkeypatch):
@@ -110,6 +131,18 @@ class TestValidation:
         blob = p.read_bytes()
         p.write_bytes(blob[:-100])
         with pytest.raises(LoadError, match="out of range"):
+            checkpoint.load(p)
+
+    def test_file_that_shrinks_while_it_is_read(self, tmp_path, monkeypatch):
+        # the length check reads the size first; a tensor read that then
+        # comes up short is refused, not left half-filled
+        p = tmp_path / "m.ckpt"
+        checkpoint.save(p, init_params(MICRO, 0), MICRO)
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-8])
+        monkeypatch.setattr(checkpoint.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(LoadError, match="ends inside tensor head.bias"):
             checkpoint.load(p)
 
     def test_malformed_header_json(self, tmp_path):

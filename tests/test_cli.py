@@ -1,11 +1,12 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from eit.cli import main
 from eit.costs import count_params
-from eit.model import config_from_dict, param_shapes
+from eit.model import config_from_dict, init_params, param_shapes
 
 MICRO_CFG = {"channels": 8, "layers": 2, "heads": 2, "classes": 2,
              "image": [8, 8, 3], "eitp": {"kernel": 3, "stride": 1,
@@ -409,6 +410,87 @@ class TestPipeline:
         bad.write_bytes(b"garbage")
         assert main(["probe", "--checkpoint", str(bad),
                      "--data", str(tmp_path), "--out", str(tmp_path)]) == 1
+
+
+class TestProbeStreaming:
+    """``eit probe`` reduces each layer as its forward finishes it."""
+
+    @pytest.fixture
+    def probe_run(self, tmp_path):
+        from eit import checkpoint
+
+        def run(policy):
+            cfg = config_from_dict({**MICRO_CFG, "split_policy": policy})
+            ckpt = tmp_path / f"{policy}.ckpt"
+            checkpoint.save(ckpt, init_params(cfg, 3), cfg)
+            out = tmp_path / f"probe-{policy}"
+            assert main(["probe", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(out), "--samples", "5",
+                         "--batch-size", "2"]) == 0
+            return cfg, ckpt, out
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--n", "6", "--size", "8",
+                     "--seed", "5"]) == 0
+        return run, data
+
+    @pytest.mark.parametrize("policy", ["decreasing", "none", "parallel"])
+    def test_outputs_equal_the_reductions_of_collected_probes(
+            self, probe_run, policy, tmp_path):
+        from eit import checkpoint, probes
+        from eit.data import load_dataset
+        from eit.model import forward
+        run, data = probe_run
+        cfg, ckpt, out = run(policy)
+        params, _ = checkpoint.load(ckpt)
+        params = {name: p.detach() for name, p in params.items()}
+        images = load_dataset(data, limit=5).images
+        h0, w0 = cfg.token_grid()
+        query = 1 + (h0 // 2) * w0 + w0 // 2
+        dist_sum = spec_sum = maps = None
+        for lo in (0, 2, 4):
+            _, layers = forward(images[lo:lo + 2], params, cfg, collect_probes=True)
+            recs = [probes.ProbeRecord(p["attention"], p["input"], (h0, w0),
+                                       cfg.pixel_spacing()) for p in layers]
+            dist = np.stack([probes.attention_distance(r).sum(axis=0) for r in recs])
+            spec = np.stack([probes.frequency_share(r, probes.DEFAULT_BINS).sum(axis=0)
+                             for r in recs])
+            if maps is None:
+                dist_sum, spec_sum = dist, spec
+                maps = [probes.attention_map(r, query)[0][0] for r in recs]
+            else:
+                dist_sum += dist
+                spec_sum += spec
+        want = tmp_path / "want"
+        (want / "maps").mkdir(parents=True)
+        distances = dist_sum / 5
+        probes.write_distances_csv(want / "distances.csv", distances)
+        probes.write_diversity_csv(want / "diversity.csv", np.array(
+            [probes.head_diversity(d) for d in distances]))
+        probes.write_spectrum_csv(want / "spectrum.csv", spec_sum / 5)
+        for i, amap in enumerate(maps):
+            probes.write_pgm(want / "maps" / f"layer_{i}.pgm", amap)
+        names = ["distances.csv", "diversity.csv", "spectrum.csv"] + \
+            [f"maps/layer_{i}.pgm" for i in range(cfg.layers)]
+        for name in names:
+            assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+    def test_no_earlier_layer_is_alive_while_a_layer_is_reduced(
+            self, probe_run, monkeypatch):
+        from eit import cli
+        run, _ = probe_run
+        forward, handed, seen = cli.forward, [], []
+
+        def watched(*args, on_layer, **kwargs):
+            def hook(i, layer_input, attention):
+                seen.append([i] + [r() is not None for r in handed])
+                handed.append(weakref.ref(attention))
+                on_layer(i, layer_input, attention)
+            return forward(*args, on_layer=hook, **kwargs)
+        monkeypatch.setattr(cli, "forward", watched)
+        run("decreasing")
+        # three batches of two layers; each batch's hook sees nothing alive
+        assert [s[0] for s in seen] == [0, 1] * 3
+        assert not any(any(s[1:]) for s in seen)
 
 
 class TestExitCodes:

@@ -476,6 +476,29 @@ class TestForward:
         with pytest.raises(ContractError):
             forward(np.zeros((1, 3, 9, 9)), params, MICRO)
 
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    def test_on_layer_gets_what_collect_probes_keeps(self, policy):
+        cfg = micro(split_policy=policy)
+        params = init_params(cfg, 0)
+        x = np.random.default_rng(3).random((2, 3, 8, 8))
+        want_logits, want = forward(x, params, cfg, collect_probes=True)
+        got = []
+        logits = forward(x, params, cfg, on_layer=lambda i, layer_input, attention:
+                         got.append((i, layer_input.copy(), attention)))
+        assert [i for i, _, _ in got] == list(range(cfg.layers))
+        for (_, layer_input, attention), rec in zip(got, want, strict=True):
+            for a, b in ((layer_input, rec["input"]), (attention, rec["attention"])):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for out in (logits, want_logits):
+            assert out.data.tobytes() == forward(x, params, cfg).data.tobytes()
+
+    def test_collect_probes_and_on_layer_refused_together(self):
+        params = init_params(MICRO, 0)
+        x = np.random.default_rng(3).random((1, 3, 8, 8))
+        with pytest.raises(ContractError, match="not both"):
+            forward(x, params, MICRO, collect_probes=True,
+                    on_layer=lambda *args: None)
+
     def test_probe_shapes(self):
         params = init_params(MICRO, 0)
         x = np.random.default_rng(3).random((2, 3, 8, 8))

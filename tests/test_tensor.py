@@ -550,6 +550,14 @@ class TestGelu:
         assert y.data.tobytes() == (x * phi).tobytes()
         assert gx.tobytes() == (g * (phi + x * dens)).tobytes()
 
+    def test_output_without_grad_matches_the_formula_bitwise(self):
+        x = np.random.default_rng(5).standard_normal(1000) * 4
+        x[:4] = [0.0, -0.0, 1e-310, -40.0]
+        y = Tensor(x).gelu()
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        assert y._node is None
+        assert y.data.tobytes() == (x * phi).tobytes()
+
 
 class TestDropout:
     MICRO = {"channels": 8, "layers": 2, "heads": 2, "classes": 2,
