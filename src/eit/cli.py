@@ -29,7 +29,7 @@ import scipy
 
 from . import checkpoint, costs, probes
 from .atomic import atomic_open
-from .data import generate_synthetic, load_dataset, save_dataset
+from .data import CUTOFF, generate_synthetic, load_dataset, save_dataset
 from .errors import (ConfigError, DiagnosticError, DivergenceError, EitError,
                      OutputError)
 from .gradcheck import GRADCHECK_TOL, gradcheck, workers, worst_offender
@@ -93,14 +93,14 @@ def _check_seed(args):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "image", None) is not None:
+    if args.image is not None:
         try:
             h, w = (int(v) for v in args.image.lower().split("x"))
         except ValueError:
             raise ConfigError(f"--image must be HxW, e.g. 224x224, "
                               f"got {args.image!r}") from None
         config = dataclasses.replace(config, image=(h, w, 3))
-    if getattr(args, "classes", None) is not None:
+    if args.classes is not None:
         config = dataclasses.replace(config, classes=args.classes)
     return config
 
@@ -275,10 +275,10 @@ def cmd_probe(args) -> int:
 
 def cmd_gen_data(args) -> int:
     _check_seed(args)
-    dataset = generate_synthetic(args.n, args.size, args.seed, args.cutoff)
+    dataset = generate_synthetic(args.n, args.size, args.seed)
     save_dataset(dataset, args.out)
     _write_manifest(args, {"config": {"n": args.n, "size": args.size,
-                                      "cutoff": args.cutoff},
+                                      "cutoff": CUTOFF},
                            "seed": args.seed})
     print(f"wrote {args.n} samples ({args.size}x{args.size}) to {args.out}")
     return 0
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cutoff", type=float, default=0.15)
     p.set_defaults(func=cmd_gen_data)
     return parser
 

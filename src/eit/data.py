@@ -36,43 +36,31 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-def _normalize01(img: np.ndarray) -> np.ndarray:
-    lo, hi = img.min(), img.max()
-    return (img - lo) / (hi - lo) if hi > lo else np.full_like(img, 0.5)
-
-
-def _lowpass_noise(rng: np.random.Generator, size: int, cutoff: float) -> np.ndarray:
-    noise = rng.standard_normal((size, size))
-    fy = np.fft.fftfreq(size)[:, None]
-    fx = np.fft.fftfreq(size)[None, :]
-    mask = np.sqrt(fy * fy + fx * fx) <= cutoff
-    return np.real(np.fft.ifft2(np.fft.fft2(noise) * mask))
-
-
-def _checkerboard(size: int) -> np.ndarray:
-    j = np.arange(size)
-    return np.where((j[:, None] + j[None, :]) % 2 == 0, 1.0, -1.0)
+# Radial bound of the low-pass filter, in cycles per pixel.
+CUTOFF = 0.15
 
 
 def generate_synthetic(n: int, size: int = 16, seed: int = 0,
-                       cutoff: float = 0.15, split: str = "train") -> Dataset:
-    """Two classes separable by spectrum: class 0 is smooth low-pass
-    filtered noise, class 1 the same noise modulated by a +-1 checkerboard
-    (which shifts its energy toward Nyquist). ``cutoff`` (cycles per pixel)
-    bounds the filter's radial frequency and must be positive: below 0 the
-    filter passes nothing and every image comes out constant."""
+                       split: str = "train") -> Dataset:
+    """Two classes separable by spectrum: class 0 is smooth noise, low-pass
+    filtered to radial frequency CUTOFF, class 1 the same noise modulated
+    by a +-1 checkerboard (which shifts its energy toward Nyquist). Each
+    image channel is then min-max scaled to [0, 1]; a constant one is 0.5."""
     if n < 1 or size < 2:
         raise ContractError("need n >= 1 samples and size >= 2")
-    if not cutoff > 0:  # NaN fails this too
-        raise ContractError(f"cutoff must be positive, got {cutoff}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, n)
-    cb = _checkerboard(size)
-    images = np.empty((n, 3, size, size))
-    for i in range(n):
-        for ch in range(3):
-            smooth = _lowpass_noise(rng, size, cutoff)
-            images[i, ch] = _normalize01(smooth * cb if labels[i] else smooth)
+    fy = np.fft.fftfreq(size)[:, None]
+    fx = np.fft.fftfreq(size)[None, :]
+    mask = np.sqrt(fy * fy + fx * fx) <= CUTOFF
+    noise = rng.standard_normal((n, 3, size, size))
+    images = np.fft.ifft2(np.fft.fft2(noise) * mask).real
+    j = np.arange(size)
+    images[labels == 1] *= np.where((j[:, None] + j[None, :]) % 2 == 0, 1.0, -1.0)
+    lo = images.min(axis=(2, 3), keepdims=True)
+    span = images.max(axis=(2, 3), keepdims=True) - lo
+    images = np.divide(images - lo, span, out=np.full(images.shape, 0.5),
+                       where=span > 0)
     return Dataset(images, labels, split)
 
 

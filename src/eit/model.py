@@ -46,14 +46,13 @@ _FIELD_TYPES = {
         "a list of integers"),
     float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
             "a number"),
-    bool: (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
 }
 
 
 def check_field_types(config) -> None:
     """Reject a value of the wrong JSON type in a config field: an int field
-    (and each image entry) takes no float or bool (e.g. 8.0), a float field
-    no string or bool, a bool field only true or false."""
+    (and each image entry) takes no float or bool (e.g. 8.0), and a float
+    field no string or bool."""
     for f in fields(config):
         if f.type not in _FIELD_TYPES:
             continue

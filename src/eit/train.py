@@ -1,7 +1,6 @@
 """Toy-scale training: cross-entropy, SGD with momentum, cosine learning
-rate, seeded shuffling and optional horizontal flip. Small by design; it
-exists to exercise gradients end to end and to produce checkpoints the
-probes can read."""
+rate and seeded shuffling. Small by design; it exists to exercise
+gradients end to end and to produce checkpoints the probes can read."""
 
 import math
 import os
@@ -34,7 +33,6 @@ class TrainConfig:
     min_lr: float = 1e-5
     momentum: float = 0.9
     seed: int = 0
-    hflip: bool = False
 
     def __post_init__(self):
         check_field_types(self)
@@ -144,10 +142,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
             idx = order[lo:lo + bs]
             images = dataset.images[idx]
             labels = dataset.labels[idx]
-            if train_config.hflip:
-                flip = rng.random(len(idx)) < 0.5
-                images = images.copy()
-                images[flip] = images[flip, :, :, ::-1]
             lr = cosine_lr(step, total_steps, train_config.base_lr,
                            train_config.min_lr)
             try:

@@ -112,3 +112,26 @@ def vit_layer_loops(x, p, heads):
     y = x + attn
     n2 = ln(y, p["norm2_g"], p["norm2_s"])
     return y + gelu(n2 @ p["fc1_w"] + p["fc1_b"]) @ p["fc2_w"] + p["fc2_b"]
+
+
+def synthetic_loops(n, size, seed):
+    """The synthetic set one image and one channel at a time: noise
+    low-pass filtered at 0.15 cycles per pixel, checkerboard-modulated for
+    class 1, min-max scaled."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    fy = np.fft.fftfreq(size)[:, None]
+    fx = np.fft.fftfreq(size)[None, :]
+    mask = np.sqrt(fy * fy + fx * fx) <= 0.15
+    j = np.arange(size)
+    board = np.where((j[:, None] + j[None, :]) % 2 == 0, 1.0, -1.0)
+    images = np.empty((n, 3, size, size))
+    for i in range(n):
+        for ch in range(3):
+            noise = rng.standard_normal((size, size))
+            img = np.real(np.fft.ifft2(np.fft.fft2(noise) * mask))
+            if labels[i]:
+                img = img * board
+            lo, hi = img.min(), img.max()
+            images[i, ch] = (img - lo) / (hi - lo) if hi > lo else 0.5
+    return images, labels

@@ -303,6 +303,14 @@ class TestPipeline:
                      "--data", str(data), "--out", str(tmp_path / "run")]) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_hflip_is_an_unknown_key(self, tiny_cfg, tmp_path, capsys):
+        bad = tmp_path / "train.json"
+        bad.write_text(json.dumps({**TRAIN_CFG, "hflip": True}))
+        assert main(["train", "--config", tiny_cfg, "--train-config", str(bad),
+                     "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "unknown train-config keys: ['hflip']" in capsys.readouterr().err
+
     def test_negative_seed_exits_1(self, tiny_cfg, tmp_path, capsys):
         bad = tmp_path / "train.json"
         bad.write_text(json.dumps({**TRAIN_CFG, "seed": -5}))
@@ -562,14 +570,21 @@ class TestExitCodes:
 
 class TestGenData:
     @pytest.mark.parametrize("flag, value, message", [
-        ("--seed", "-3", "--seed must be non-negative, got -3"),
-        ("--cutoff", "-1", "cutoff must be positive, got -1.0"),
-        ("--cutoff", "nan", "cutoff must be positive, got nan")])
+        ("--seed", "-3", "--seed must be non-negative, got -3")])
     def test_bad_seed_or_cutoff_exits_1(self, flag, value, message, tmp_path,
                                         capsys):
         out = tmp_path / "d"
         assert main(["gen-data", "--out", str(out), flag, value]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cutoff_is_a_usage_error(self, tmp_path, capsys):
+        # the filter's cutoff is data.CUTOFF, not an option
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--out", str(out), "--cutoff", "0.2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cutoff" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_and_count(self, tmp_path):
@@ -578,6 +593,7 @@ class TestGenData:
                      "--size", "8", "--seed", "3"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
+        assert manifest["config"] == {"n": 6, "size": 8, "cutoff": 0.15}
         labels = (out / "labels.csv").read_text().splitlines()
         assert len(labels) == 1 + 6
 

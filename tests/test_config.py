@@ -35,7 +35,6 @@ OTHER = {
     (TrainConfig, "epochs"): 3, (TrainConfig, "batch_size"): 4,
     (TrainConfig, "base_lr"): 0.5, (TrainConfig, "min_lr"): 1e-4,
     (TrainConfig, "momentum"): 0.5, (TrainConfig, "seed"): 7,
-    (TrainConfig, "hflip"): True,
 }
 FIELDS = [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
           for cls in BASE for f in dataclasses.fields(cls)]

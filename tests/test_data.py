@@ -11,12 +11,23 @@ from eit.errors import ContractError, LoadError
 from eit.model import ModelConfig, PatchStage, init_params
 from eit.probes import ProbeRecord, frequency_share
 
+from oracles import synthetic_loops
+
 
 class TestSynthetic:
     def test_deterministic(self):
         a = generate_synthetic(4, 16, seed=7)
         b = generate_synthetic(4, 16, seed=7)
         assert (a.images == b.images).all() and (a.labels == b.labels).all()
+
+    # (5, 2, 9) has constant planes, which scale to 0.5
+    @pytest.mark.parametrize("n, size, seed", [
+        (16, 32, 1), (64, 16, 0), (7, 8, 3), (5, 2, 9), (9, 33, 11)])
+    def test_equals_the_per_image_loop(self, n, size, seed):
+        ds = generate_synthetic(n, size, seed)
+        images, labels = synthetic_loops(n, size, seed)
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.images, images)
 
     def test_range_and_shapes(self):
         ds = generate_synthetic(6, 12, seed=0)
@@ -42,12 +53,6 @@ class TestSynthetic:
     def test_bad_args(self):
         with pytest.raises(ContractError):
             generate_synthetic(0, 16)
-
-    @pytest.mark.parametrize("cutoff", [-1.0, 0.0, float("nan")])
-    def test_cutoff_must_be_positive(self, cutoff):
-        # a cutoff that passes no frequency gives constant images
-        with pytest.raises(ContractError, match=f"got {cutoff}"):
-            generate_synthetic(4, 8, cutoff=cutoff)
 
 
 class TestRawFormat:

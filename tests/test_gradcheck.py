@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import json
 import multiprocessing
 import os
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import eit.cli
+import eit.gradcheck
 from eit.errors import ContractError, DiagnosticError
 from eit.gradcheck import (GRADCHECK_TOL, gradcheck, resume, stage_inputs,
                            workers, worst_offender)
@@ -306,9 +306,7 @@ def _killed_at_head_bias(name):
     return _DIFFERENCES(name)
 
 
-# the module: the package's attribute ``gradcheck`` is the function
-GRADCHECK = importlib.import_module("eit.gradcheck")
-_DIFFERENCES = GRADCHECK._differences
+_DIFFERENCES = eit.gradcheck._differences
 
 
 class TestWorkersEnd:
@@ -328,7 +326,7 @@ class TestWorkersEnd:
         assert multiprocessing.active_children() == []
 
     def test_a_worker_that_dies_raises(self, two_cpus, monkeypatch):
-        monkeypatch.setattr(GRADCHECK, "_differences", _killed_at_head_bias)
+        monkeypatch.setattr(eit.gradcheck, "_differences", _killed_at_head_bias)
         params, f, stages = setup_micro(MICRO)
         with pytest.raises(BrokenProcessPool):
             gradcheck(f, params, stages=stages)

@@ -3,7 +3,9 @@ helper is left unreferenced: with no linter in the toolchain, this is what
 catches an import or a helper a deletion left behind."""
 
 import ast
+import importlib
 import pathlib
+import sys
 
 import pytest
 
@@ -33,6 +35,16 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == set()
+
+
+def test_each_module_is_the_package_attribute_of_its_name():
+    # a name the package root binds (say, a function re-exported from a
+    # module of the same name) must not hide the module
+    package = importlib.import_module("eit")
+    for path in MODULES:
+        importlib.import_module(f"eit.{path.stem}")
+    for path in MODULES:
+        assert getattr(package, path.stem) is sys.modules[f"eit.{path.stem}"]
 
 
 def _references(tree) -> list[str]:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -159,7 +158,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 1.0), ("batch_size", 2.0), ("seed", 1.5), ("epochs", True),
-        ("base_lr", "x"), ("momentum", "0.9"), ("hflip", "yes")])
+        ("base_lr", "x"), ("momentum", "0.9")])
     def test_wrongly_typed_field_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"TrainConfig.{field} must be"):
             train_config_from_dict({field: value})
@@ -208,16 +207,6 @@ class TestTrainLoop:
         assert m1 == m2
         for k in p1:
             assert (p1[k].data == p2[k].data).all()
-
-    def test_hflip_changes_trajectory_not_labels(self):
-        ds = balanced_eight()
-        plain = TrainConfig(epochs=2, batch_size=4, base_lr=0.01,
-                            min_lr=0.001, seed=0)
-        flip = dataclasses.replace(plain, hflip=True)
-        _, m1 = train(TINY, plain, ds)
-        _, m2 = train(TINY, flip, ds)
-        assert m1 != m2  # augmentation perturbs the loss sequence
-        assert (ds.labels == balanced_eight().labels).all()
 
     def test_divergence_raises(self):
         ds = balanced_eight()
