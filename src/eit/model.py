@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import (Tensor, concat, conv2d, dropout, layernorm, linear,
-                     matmul, maxpool2d, normalize, out_size, recompute,
-                     softmax_rows)
+                     matmul, maxpool2d, normalize, out_size, softmax_rows)
 
 SPLIT_POLICIES = ("decreasing", "increasing", "invariant", "parallel", "none")
 # Each conv-branch style as the ordered steps it applies to the patch tokens:
@@ -215,10 +214,10 @@ class SplitSchedule:
 
 def build_schedule(channels: int, heads: int, layers: int,
                    policy: str = "decreasing") -> SplitSchedule:
-    """Channel split per layer. The conv share at depth i (1-based) is
-    C - floor((C // h) * i / L) * h, which keeps the attention share
-    divisible by the head count while shrinking the conv share to zero at
-    the last layer. "invariant" evaluates the same formula at ratio 1/2,
+    """Channel split per layer. The attention share at depth i (1-based) is
+    floor((C // h) * i / L) * h, which keeps it divisible by the head count
+    while the conv share, C minus it, shrinks to zero at the last layer.
+    "invariant" evaluates the same formula at ratio 1/2,
     "increasing" mirrors the decreasing schedule, "none" is a pure
     attention model and "parallel" gives both branches the full width.
     """
@@ -229,23 +228,28 @@ def build_schedule(channels: int, heads: int, layers: int,
     if policy not in SPLIT_POLICIES:
         raise ConfigError(f"unknown split policy {policy!r}")
 
-    if policy == "none":
-        conv = [0] * layers
-    elif policy == "parallel":
-        return SplitSchedule((channels,) * layers, (channels,) * layers)
+    per_head = channels // heads
+    if policy in ("decreasing", "increasing"):
+        narrowest = per_head // layers * heads  # at depth 1, or L mirrored
     elif policy == "invariant":
-        conv = [channels - (channels // heads // 2) * heads] * layers
+        narrowest = per_head // 2 * heads
     else:
-        conv = [channels - ((channels // heads) * i // layers) * heads
-                for i in range(1, layers + 1)]
-        if policy == "increasing":
-            conv = conv[::-1]
-    attn = [channels - ct for ct in conv]
-    if min(attn) < heads:
+        narrowest = channels
+    if narrowest < heads:
         raise ConfigError(
-            f"schedule gives a layer fewer attention channels ({min(attn)}) "
+            f"schedule gives a layer fewer attention channels ({narrowest}) "
             f"than heads ({heads})")
-    return SplitSchedule(tuple(conv), tuple(attn))
+    try:
+        if policy in ("decreasing", "increasing"):
+            attn = tuple(per_head * i // layers * heads
+                         for i in range(1, layers + 1))
+            attn = attn[::-1] if policy == "increasing" else attn
+        else:  # every layer gets the same share
+            attn = (narrowest,) * layers
+        conv = attn if policy == "parallel" else tuple(channels - a for a in attn)
+    except (OverflowError, MemoryError) as e:  # e.g. layers = 2**63
+        raise ConfigError(f"layers ({layers}) too many to schedule") from e
+    return SplitSchedule(conv, attn)
 
 
 def schedule_for(config: ModelConfig) -> SplitSchedule:
@@ -397,22 +401,39 @@ def mha(x: Tensor, qkv_w: Tensor, qkv_b: Tensor, out_w: Tensor, out_b: Tensor,
     (N, heads, T, T) for the probes.
 
     The attention core, from the qkv projection to the merged heads, is
-    one ``recompute`` node: the graph keeps the projection, and backward
-    rebuilds the (N, heads, T, T) scores and weights one layer at a time."""
+    one node that keeps only the projection. Its backward recomputes the
+    (N, heads, T, T) weights from q and k and builds no node, so a
+    training graph holds no T x T array. The forward still runs the core
+    as ``matmul`` and ``softmax_rows`` nodes, which perfbench times and
+    counts, and drops their graph once the core's output exists."""
     n, t, cm = x.shape
     if cm == 0 or cm % heads:
         raise ConfigError(f"attention width {cm} not divisible by {heads} heads")
     d = cm // heads
+    scale = 1.0 / math.sqrt(d)
 
-    def heads_mix(qkv: Tensor) -> tuple[Tensor, np.ndarray]:
-        # (N, T, 3 C_M) -> (3, N, heads, T, d)
+    def split(qkv):
+        """q, k and v (N, heads, T, d) of a Tensor or an array (N, T, 3 C_M)."""
         qkv = qkv.reshape(n, t, 3, heads, d).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(d)))
-        return matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm), a.data
+        return qkv[0], qkv[1], qkv[2]
 
-    o, attn = recompute(heads_mix, linear(x, qkv_w, qkv_b))
-    return linear(o, out_w, out_b), attn
+    qkv = linear(x, qkv_w, qkv_b)
+    q, k, v = split(qkv)
+    a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * scale)
+    o = matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm)
+    kept = qkv.data
+
+    def back(g):
+        q, k, v = split(kept)
+        s = softmax_rows(Tensor(q @ k.swapaxes(-1, -2) * scale)).data
+        g = g.reshape(n, t, heads, d).transpose(0, 2, 1, 3)
+        ga = g @ v.swapaxes(-1, -2)
+        gs = s * (ga - (ga * s).sum(axis=-1, keepdims=True)) * scale
+        gqkv = np.stack([gs @ k, (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2),
+                         s.swapaxes(-1, -2) @ g])
+        gqkv += 0.0  # -0.0 to +0.0, as a scatter into zeros gives
+        return (gqkv.transpose(1, 3, 0, 2, 4).reshape(n, t, 3 * cm),)
+    return linear(Tensor._from_op(o.data, (qkv,), back), out_w, out_b), a.data
 
 
 def _grid_conv(tokens: Tensor, grid: tuple[int, int], weight: Tensor,

@@ -7,9 +7,9 @@ backward closure, the parents' nodes (None for a parent that needs no
 gradient) and the output shape. A leaf's node holds a weak reference to
 its Tensor, which receives the gradient, so a parameter and its node form
 no reference cycle. ``backward()`` of a scalar loss replays the nodes in
-reverse topological order (``_replay``), sums each gradient over
-broadcast axes, accumulates it and releases the graph, so a graph is
-replayed once.
+reverse topological order, sums each gradient over broadcast axes,
+accumulates it and releases the graph, so a graph is replayed once. A
+backward closure works on arrays and builds no node.
 
 No node refers to a Tensor, so an interior Tensor dies with its last
 Python reference, and its array dies with it unless some closure saved
@@ -23,8 +23,6 @@ and max-pooling one flat index into its input. GELU saves its derivative
 Phi(x) + x * density(x), computed in the forward only when x needs a
 gradient, in place of x and Phi(x); its output x * Phi(x) is written
 into Phi's buffer, so it allocates no full-size array beyond the two.
-``recompute(fn, x)`` trades time for memory: it keeps only x's array,
-and its backward runs ``fn`` again and replays the graph that builds.
 
 Only the kernels the model actually needs are implemented: matmul, linear
 (``x @ W + b`` as one node over flattened rows),
@@ -104,42 +102,6 @@ class _Node:
         self.leaf = leaf
 
 
-def _replay(root: _Node, seed: np.ndarray) -> None:
-    """Replay the graph under ``root`` from ``seed``, the gradient of root's
-    output: run the nodes in reverse topological order, sum each gradient
-    over broadcast axes, accumulate it into the leaves' ``grad`` and
-    release each node once run."""
-    topo: list[_Node] = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p is not None:
-                stack.append((p, False))
-    grads = {root: seed}
-    while topo:
-        node = topo.pop()
-        g = grads.pop(node, None)
-        if node.backward is None:  # a leaf, or a node replayed before
-            leaf = node.leaf() if node.leaf is not None else None
-            if leaf is not None and g is not None:
-                leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
-            continue
-        for p, gp in zip(node.parents, node.backward(g), strict=True):
-            if p is not None:
-                gp = _unbroadcast(gp, p.shape)
-                grads[p] = grads[p] + gp if p in grads else gp
-        node.parents, node.backward = (), None
-
-
 class Tensor:
     """An array, its gradient and its node in the autograd graph."""
 
@@ -195,10 +157,41 @@ class Tensor:
     # ---- backward pass ---------------------------------------------------
 
     def backward(self):
+        """Replay the graph under this scalar loss in reverse topological
+        order into the leaves' ``grad``, releasing each node once run."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
-        if self._node is not None:
-            _replay(self._node, np.ones(self.data.shape))
+        if self._node is None:
+            return
+        topo: list[_Node] = []
+        seen = set()
+        stack = [(self._node, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.append((node, True))
+            for p in node.parents:
+                if p is not None:
+                    stack.append((p, False))
+        grads = {self._node: np.ones(self.data.shape)}
+        while topo:
+            node = topo.pop()
+            g = grads.pop(node, None)
+            if node.backward is None:  # a leaf, or a node replayed before
+                leaf = node.leaf() if node.leaf is not None else None
+                if leaf is not None and g is not None:
+                    leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g
+                continue
+            for p, gp in zip(node.parents, node.backward(g), strict=True):
+                if p is not None:
+                    gp = _unbroadcast(gp, p.shape)
+                    grads[p] = grads[p] + gp if p in grads else gp
+            node.parents, node.backward = (), None
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -285,22 +278,6 @@ class Tensor:
             d += phi
         phi *= x  # x * Phi(x), in Phi's buffer
         return Tensor._from_op(phi, (self,), lambda g: (d * g,))
-
-
-def recompute(fn, x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """``fn(x)``, which returns a Tensor and an array, as one node that
-    keeps only ``x.data``: the graph ``fn`` builds dies with its output,
-    and the backward runs ``fn`` again on a leaf over that array and
-    replays the new graph (activation recomputation, Chen et al. 2016).
-    ``fn`` must be pure and must not capture ``x``."""
-    out, extra = fn(x)
-    data = x.data
-
-    def back(g):
-        leaf = Tensor(data, requires_grad=True)
-        _replay(fn(leaf)[0]._node, g)
-        return (leaf.grad,)
-    return Tensor._from_op(out.data, (x,), back), extra
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:

@@ -1,7 +1,9 @@
 """Brute-force reference implementations the tests compare against.
 
 Everything here is deliberately naive (explicit loops, no shared code with
-the package) so it can serve as an independent oracle.
+the package) so it can serve as an independent oracle. The one exception,
+``attention_core_nodes``, is the attention core as a chain of the engine's
+plain op nodes, so the engine's chain rule checks the core's own backward.
 """
 
 import numpy as np
@@ -62,6 +64,21 @@ def matmul_loops(a, b):
 def softmax_loops(row):
     e = np.exp(row - row.max())
     return e / e.sum()
+
+
+def attention_core_nodes(qkv, heads):
+    """Multi-head attention from a qkv projection Tensor (N, T, 3 C_M) to the
+    merged heads (N, T, C_M), built from reshape, transpose, index, matmul,
+    scale and softmax_rows nodes; returns it and the weights' array."""
+    from eit.tensor import matmul, softmax_rows
+
+    n, t, c3 = qkv.shape
+    cm = c3 // 3
+    d = cm // heads
+    qkv = qkv.reshape(n, t, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    a = softmax_rows(matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d)))
+    return matmul(a, v).transpose(0, 2, 1, 3).reshape(n, t, cm), a.data
 
 
 def dft2_loops(grid):

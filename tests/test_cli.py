@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -14,6 +17,15 @@ MICRO_CFG = {"channels": 8, "layers": 2, "heads": 2, "classes": 2,
 TINY_CFG = {"channels": 48, "layers": 2, "heads": 4, "classes": 2,
             "image": [16, 16, 3], "eitp": {"kernel": 3, "stride": 1,
                                            "padding": 1, "pool": 2}}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ``eit`` with argv[1:] under a 1 GiB address-space cap, so that a run which
+# tries to build a huge schedule fails in the child, not on the machine.
+CAPPED_EIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from eit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 TRAIN_CFG = {"epochs": 2, "batch_size": 8, "base_lr": 0.01, "min_lr": 0.001,
              "momentum": 0.9, "seed": 0}
 
@@ -108,6 +120,24 @@ class TestDescribe:
                           "--data", str(tmp_path / "absent")]):
                 assert main([*args, "--out", str(tmp_path / "out")]) == 1, args
                 assert capsys.readouterr().err.startswith("error:"), args
+
+    @pytest.mark.parametrize("policy, layers", [
+        *((p, 2**63) for p in ("decreasing", "increasing", "invariant",
+                               "parallel", "none")),
+        ("decreasing", 10**12), ("none", 10**12)])
+    def test_huge_layer_count_exits_1(self, policy, layers, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**MICRO_CFG, "layers": layers,
+                                   "split_policy": policy}))
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", CAPPED_EIT, "describe",
+                              "--config", str(bad), "--out", str(tmp_path / "out")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), run.stderr
+        assert "layers" in lines[0] or "fewer attention channels" in lines[0]
 
     def test_invalid_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

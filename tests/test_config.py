@@ -1,14 +1,17 @@
 """Config documents are read by one function, ``model.from_dict``, from the
 dataclass fields alone, so these tests run over ``dataclasses.fields``."""
 
+import copy
 import dataclasses
 import json
+import math
 import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eit.errors import ConfigError
+from eit.errors import ConfigError, EitError
 from eit.model import (ConvBranch, ModelConfig, PatchStage, config_from_dict,
                        config_to_dict, from_dict)
 from eit.train import TrainConfig, train_config_from_dict
@@ -125,3 +128,43 @@ def test_readme_config_heredocs_parse():
     assert isinstance(config_from_dict(json.loads(docs["tiny.json"])), ModelConfig)
     assert isinstance(train_config_from_dict(json.loads(docs["train.json"])),
                       TrainConfig)
+
+
+# Values a hand-edited JSON config might hold; DROP deletes the key.
+DROP = object()
+POOL = [None, False, True, 0, -1, 1.5, math.nan, math.inf, "x", [], {},
+        [8, 8, 3.0], 2**63, DROP]
+FUZZED = {
+    "config": (config_from_dict, to_json_doc(MICRO),
+               [f.name for f in dataclasses.fields(ModelConfig)]
+               + [f"eitp.{f.name}" for f in dataclasses.fields(PatchStage)]
+               + [f"eitt.{f.name}" for f in dataclasses.fields(ConvBranch)]
+               + ["extra", "eitp.extra", "eitt.extra"]),
+    "train-config": (train_config_from_dict, to_json_doc(TrainConfig()),
+                     [f.name for f in dataclasses.fields(TrainConfig)] + ["extra"]),
+}
+
+
+@pytest.mark.parametrize("kind", FUZZED)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_config_is_read_or_refused_with_a_typed_error(kind, data):
+    # a huge layer count is tested in a capped child process (test_cli.py)
+    read_doc, doc, paths = FUZZED[kind]
+    doc = copy.deepcopy(doc)
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from(paths), st.sampled_from(POOL)).filter(
+            lambda e: not (e[0] == "layers" and e[1] == 2**63)), max_size=4))
+    for path, value in edits:
+        *outer, key = path.split(".")
+        node = doc.get(outer[0]) if outer else doc
+        if not isinstance(node, dict):
+            continue  # the nested object was dropped or replaced
+        if value is DROP:
+            node.pop(key, None)
+        else:
+            node[key] = copy.deepcopy(value)
+    try:
+        read_doc(doc)
+    except EitError:
+        pass

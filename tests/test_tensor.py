@@ -13,10 +13,14 @@ from eit.gradcheck import gradcheck
 from eit.model import config_from_dict, forward, init_params
 from eit.tensor import (Tensor, _Node, _windows, concat, conv2d, dropout,
                         layernorm, linear, log_softmax, matmul, maxpool2d,
-                        normalize, out_size, recompute, softmax_rows)
+                        normalize, out_size, softmax_rows)
 from eit.train import cross_entropy
 
-from oracles import conv2d_loops, matmul_loops, maxpool_loops
+from oracles import attention_core_nodes, conv2d_loops, matmul_loops, maxpool_loops
+
+SMALL = {"channels": 250, "layers": 5, "heads": 10, "classes": 10,
+         "image": [32, 32, 3],
+         "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 4}}
 
 
 class TestConvGeometry:
@@ -460,10 +464,7 @@ class TestLinear:
     def _small_batch_node_count(monkeypatch, run) -> int:
         """Nodes made by ``run(images, labels, params, config)`` on a SMALL
         batch of 16."""
-        cfg = config_from_dict({
-            "channels": 250, "layers": 5, "heads": 10, "classes": 10,
-            "image": [32, 32, 3],
-            "eitp": {"kernel": 3, "stride": 1, "padding": 1, "pool": 4}})
+        cfg = config_from_dict(SMALL)
         params = init_params(cfg, 0)
         rng = np.random.default_rng(0)
         images, labels = rng.random((16, 3, 32, 32)), rng.integers(0, 10, 16)
@@ -667,8 +668,8 @@ class TestEngineContract:
 
 
 class TestRecompute:
-    """recompute(fn, x) is fn(x) as one node that keeps only x.data; the
-    model's attention core is one."""
+    """The model's attention core is one node that keeps only the qkv
+    projection; its backward recomputes the weights and builds no node."""
 
     @staticmethod
     def _micro_training_loss(policy="decreasing"):
@@ -681,27 +682,55 @@ class TestRecompute:
         logits = forward(rng.random((2, 3, 8, 8)), params, cfg, train=True, rng=rng)
         return cross_entropy(logits, np.array([0, 1])), params, cfg
 
-    @pytest.mark.parametrize("policy", ["decreasing", "parallel"])
-    def test_matches_the_attention_core_backpropagated_directly(self, policy,
-                                                                 monkeypatch):
-        cores = []
+    @staticmethod
+    def _small_training_loss():
+        cfg = config_from_dict(SMALL)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        images, labels = rng.random((16, 3, 32, 32)), rng.integers(0, 10, 16)
+        logits = forward(images, params, cfg, train=True, rng=rng)
+        return cross_entropy(logits, labels), params, cfg
 
-        def spy(fn, x):
-            cores.append((fn, x.data))
-            return recompute(fn, x)
-        monkeypatch.setattr(model, "recompute", spy)
+    @pytest.mark.parametrize("policy", ["decreasing", "parallel"])
+    def test_matches_a_core_of_plain_nodes(self, policy, monkeypatch):
+        calls, mha = [], model.mha
+
+        def spy(x, *weights_and_heads):
+            calls.append((x.data, weights_and_heads))
+            return mha(x, *weights_and_heads)
+        monkeypatch.setattr(model, "mha", spy)
         self._micro_training_loss(policy)
-        assert len(cores) == 2  # one per layer
-        for fn, data in cores:
-            proj = Tensor(np.random.default_rng(1).standard_normal(
-                fn(Tensor(data))[0].shape))
+        assert len(calls) == 2  # one per layer
+
+        def reference(x, qkv_w, qkv_b, out_w, out_b, heads):
+            o, attn = attention_core_nodes(linear(x, qkv_w, qkv_b), heads)
+            return linear(o, out_w, out_b), attn
+        for data, (*weights, heads) in calls:
+            proj = Tensor(np.random.default_rng(1).standard_normal(data.shape))
             got = []
-            for run in (fn, lambda x: recompute(fn, x)):
+            for run in (mha, reference):
                 x = Tensor(data, requires_grad=True)
-                out, attn = run(x)
+                ws = [Tensor(w.data, requires_grad=True) for w in weights]
+                out, attn = run(x, *ws, heads)
                 (out * proj).sum().backward()
-                got.append([a.tobytes() for a in (out.data, attn, x.grad)])
+                got.append([a.tobytes() for a in (out.data, attn, x.grad,
+                                                   *(w.grad for w in ws))])
             assert got[0] == got[1]
+
+    @pytest.mark.parametrize("case", ["micro-decreasing", "micro-parallel",
+                                      "small-b16"])
+    def test_backward_builds_no_node(self, case, monkeypatch):
+        loss = (self._small_training_loss() if case == "small-b16"
+                else self._micro_training_loss(case.split("-")[1]))[0]
+        made = []
+        node_init = _Node.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(1)
+            node_init(self, *args, **kwargs)
+        monkeypatch.setattr(_Node, "__init__", counted)
+        loss.backward()
+        assert len(made) == 0
 
     def test_training_graph_keeps_no_attention_sized_array(self):
         loss, _, cfg = self._micro_training_loss()
